@@ -107,16 +107,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _host_profile(args: argparse.Namespace) -> int:
-    """Run the requested schemes with the host profiler attached and
-    render percent host time per pipeline stage per scheme."""
+    """Calibrate, then simulate each requested scheme inside a stack
+    sampler and render its host time per simulator layer."""
     from repro.eval.reporting import format_host_profile
-    from repro.perf.hostprof import HostProfiler
+    from repro.perf.hostprof import HOST_PROFILE_FORMAT, INTERVAL_S, HostSampler
 
-    profiler = HostProfiler()
-    runner = Runner(scale=args.scale, profiler=profiler)
-    for name in args.scheme:
-        runner.run(args.workload, _parse_scheme(name))
-    snapshot = profiler.snapshot()
+    runner = Runner(scale=args.scale)
+    runner.calibration(args.workload)
+    runs = {}
+    for scheme in dict.fromkeys(_parse_scheme(name) for name in args.scheme):
+        with HostSampler() as sampler:
+            runner.simulate(args.workload, scheme)
+        runs[f"{args.workload}/{_scheme_label(scheme)}"] = sampler.report()
+    snapshot = {"host_profile_format": HOST_PROFILE_FORMAT,
+                "interval_s": INTERVAL_S, "runs": runs}
     print(format_host_profile(
         snapshot,
         title=f"host-time profile: {args.workload} @ scale {args.scale}",
@@ -851,12 +855,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign manifests: also show this telemetry "
                             "store's recorded history")
     p_ins.add_argument("--host-profile", action="store_true",
-                       help="run workloads with the host profiler attached "
-                            "and report %% host wall time per pipeline stage "
-                            "per scheme (no PATH needed)")
+                       help="run each scheme under a SIGPROF stack sampler "
+                            "and report %% host time per simulator layer "
+                            "(Unix only; no PATH needed)")
     p_ins.add_argument("--profile-json", default=None, metavar="PATH",
-                       help="--host-profile: also write the raw profiler "
-                            "snapshot as JSON (CI artifact)")
+                       help="--host-profile: also write the per-run "
+                            "sample report as JSON (CI artifact)")
     p_ins.add_argument("--decisions", action="store_true",
                        help="run workloads with a decision ledger attached "
                             "and show per-region decision timelines with "

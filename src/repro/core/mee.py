@@ -131,7 +131,6 @@ class MemoryEncryptionEngine:
         shared_counter: SharedCounter,
         truth: Optional[TruthProvider] = None,
         observer=None,
-        profiler=None,
         ledger=None,
     ) -> None:
         self.partition_id = partition_id
@@ -157,7 +156,7 @@ class MemoryEncryptionEngine:
         self._led_transfers = 0
 
         self.caches = MetadataCaches(config.mdc, partition_id,
-                                     observer=observer, profiler=profiler)
+                                     observer=observer)
         self.readonly = ReadOnlyDetector(self.scheme.detectors)
         self.streaming = StreamingDetector(self.scheme.detectors)
         self.counters = CounterFile()
@@ -184,13 +183,12 @@ class MemoryEncryptionEngine:
         #: Data blocks covered by one 32 B MAC sector (4 with the 8 B
         #: default, 8 with PSSM's 4 B truncation).
         self._mac_sector_coverage = constants.SECTOR_SIZE // self.scheme.mac_size
-        # Hot-path specialisation: when neither the observer nor the
-        # host profiler is attached, the metadata helpers probe their
-        # MDC hit path inline (see _ctr_access) — the bookkeeping is
-        # bit-identical to SectoredCache.access's resident branch, and
-        # the instrumented layers only exist to emit events/timings
-        # that are off here anyway.
-        self._fast_meta = not (self._observe or self.caches._profile)
+        # Hot-path specialisation: when no observer is attached, the
+        # metadata helpers probe their MDC hit path inline (see
+        # _ctr_access) — the bookkeeping is bit-identical to
+        # SectoredCache.access's resident branch, and the instrumented
+        # layers only exist to emit events that are off here anyway.
+        self._fast_meta = not self._observe
         self._spb = constants.SECTORS_PER_BLOCK
         self._bs = constants.BLOCK_SIZE
         self._ctr_cov = mlayout.CTR_SECTOR_COVERAGE_BLOCKS
@@ -325,9 +323,9 @@ class MemoryEncryptionEngine:
     def attach_direct(self, channels: list, traffic) -> None:
         """Arm the direct-emission fast path (pipeline wiring).
 
-        With no observer, no host profiler and no L2 victim cache in
-        play, every metadata transfer can occupy its DRAM channel the
-        moment a policy emits it — same order, cycle and occupy/service
+        With no observer and no L2 victim cache in play, every metadata
+        transfer can occupy its DRAM channel the moment a policy emits
+        it — same order, cycle and occupy/service
         arithmetic as :meth:`MemoryPipeline.schedule` consuming the
         equivalent :class:`DRAMRequest` list, so the simulated timing
         and traffic accounting are bit-identical; only the intermediate
@@ -448,7 +446,7 @@ class MemoryEncryptionEngine:
         if self._fast_meta:
             # Resident-sector fast path, inlined from SectoredCache.
             # access: a hit emits no transfers, walks no BMT and (with
-            # observer/profiler off) has no other side effects.
+            # the observer off) has no other side effects.
             cache = self._ctr_cache
             lines = cache._sets[line_key % cache.num_sets]
             line = lines.get(line_key)
@@ -842,11 +840,6 @@ class MemoryEncryptionEngine:
         if self.scheme.local_metadata:
             return self.partition_id, addr
         return self.mapper.partition_of(addr), addr
-
-    def _meta_partition(self, addr: int) -> int:
-        if self.scheme.local_metadata:
-            return self.partition_id
-        return self.mapper.partition_of(addr)
 
     def flush(self) -> List[DRAMRequest]:
         """Context teardown: push all dirty metadata to DRAM."""

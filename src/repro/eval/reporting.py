@@ -478,38 +478,28 @@ def format_bench_compare(rows, threshold: float,
 
 
 def format_host_profile(snapshot: dict, title: Optional[str] = None) -> str:
-    """Render a :meth:`~repro.perf.hostprof.HostProfiler.snapshot` as
-    per-run stage shares (percent of attributed host time), the
-    attribution coverage of the measured wall, and the per-component
-    breakdown of the total."""
-    from repro.perf.hostprof import COMPONENTS, STAGES
+    """Render a ``host_profile_format`` 2 document (see
+    :mod:`repro.perf.hostprof`): one column per run, each layer's share
+    of its samples, then its wall time, sample count and the share of
+    wall time spent in the sampler itself."""
+    from repro.perf.hostprof import LAYERS
 
-    runs = dict(snapshot["runs"])
-    runs["TOTAL"] = snapshot["total"]
-    name_width = max([len("run")] + [len(n) for n in runs])
-    header = (f"{'run'.ljust(name_width)} {'wall ms':>9s} "
-              + " ".join(f"{stage:>9s}" for stage in STAGES)
-              + f" {'attrib':>7s}")
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(header))
-    lines.append(header)
+    runs = snapshot["runs"]
+    width = max([9] + [len(name) for name in runs])
+
+    def row(label: str, cells) -> str:
+        return f"{label:10s}" + "".join(f" {cell:>{width}}" for cell in cells)
+
+    header = row("layer", runs)
+    lines = [title, "=" * len(header)] if title else []
+    lines += [header, "-" * len(header)]
+    lines += [row(layer, [f"{run['shares'][layer]:.1%}"
+                          for run in runs.values()]) for layer in LAYERS]
     lines.append("-" * len(header))
-    for name, run in runs.items():
-        if name == "TOTAL":
-            lines.append("-" * len(header))
-        attributed = run["attributed_s"] or 1.0
-        shares = " ".join(f"{run['stages_s'][stage] / attributed:>9.1%}"
-                          for stage in STAGES)
-        lines.append(f"{name.ljust(name_width)} {run['wall_s'] * 1e3:9.1f} "
-                     f"{shares} {run['coverage']:7.1%}")
-    total = snapshot["total"]
-    attributed = total["attributed_s"] or 1.0
-    lines.append("")
-    lines.append("components (share of attributed host time):")
-    for component in COMPONENTS:
-        value = total["components_s"][component]
-        lines.append(f"  {component:18s} {value / attributed:7.1%} "
-                     f"({value * 1e3:9.1f} ms)")
+    lines.append(row("wall ms", [f"{run['wall_s'] * 1e3:.1f}"
+                                 for run in runs.values()]))
+    lines.append(row("samples", [run["samples"] for run in runs.values()]))
+    lines.append(row("sampler", [
+        f"{run['sampler_s'] / run['wall_s']:.1%}" if run["wall_s"] else "-"
+        for run in runs.values()]))
     return "\n".join(lines)

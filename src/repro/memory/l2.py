@@ -152,12 +152,6 @@ class L2Bank:
         stalled) issue time."""
         return self.mshr.allocate((line_key, sector), done, now)
 
-    def register_fills(self, line_key: int, sectors, done: float,
-                       now: float) -> None:
-        """Bulk :meth:`register_fill` for one miss's fill burst (all
-        sectors travel on one DRAM transfer and share ``done``)."""
-        self.mshr.allocate_burst(line_key, sectors, done, now)
-
     # -- Victim-cache path -----------------------------------------------------------
 
     def victim_probe(self, key: Hashable, sector: int) -> bool:

@@ -16,7 +16,6 @@ from repro.common.config import MDCConfig
 from repro.memory.cache import Eviction, SectoredCache, stable_hash
 from repro.memory.l2 import PartitionL2
 from repro.obs.observer import NULL_OBSERVER
-from repro.perf.hostprof import NULL_PROFILER
 
 KIND_CTR = "ctr"
 KIND_MAC = "mac"
@@ -64,7 +63,7 @@ class MetadataCaches:
     """Counter, MAC and BMT caches of one memory partition."""
 
     def __init__(self, mdc: MDCConfig, partition_id: int,
-                 observer=None, profiler=None) -> None:
+                 observer=None) -> None:
         self.partition_id = partition_id
         self.counter = SectoredCache(mdc.counter, name=f"ctr-p{partition_id}")
         self.mac = SectoredCache(mdc.mac, name=f"mac-p{partition_id}")
@@ -79,8 +78,6 @@ class MetadataCaches:
         self.victim_enabled = lambda: False
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._observe = self.obs.enabled
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self._profile = self.profiler.enabled
         #: Current access cycle, maintained by the owning MEE when
         #: observation is on (the MDC interface itself is cycle-free).
         self.now = 0.0
@@ -112,27 +109,6 @@ class MetadataCaches:
         The sequences are shared immutable empties when nothing
         happened — callers must not mutate them.
         """
-        profile = self._profile
-        if profile:
-            t0 = self.profiler.now()
-        result = self._access(kind, line_key, sector, is_write,
-                              fetch_on_miss, sectors_on_miss)
-        if profile:
-            self.profiler.add_component(
-                "metadata_caches", self.profiler.now() - t0)
-        return result
-
-    def _access(
-        self,
-        kind: str,
-        line_key: int,
-        sector: int,
-        is_write: bool,
-        fetch_on_miss: bool,
-        sectors_on_miss: int,
-    ) -> Tuple[Sequence[MetaTransfer], Sequence[DisplacedData], bool]:
-        """:meth:`access` minus profiler timing (so bulk callers can
-        time a whole path as one component interval)."""
         cache = self._caches.get(kind)
         if cache is None:
             raise ValueError(f"unknown metadata kind: {kind}")
@@ -190,9 +166,6 @@ class MetadataCaches:
         number of nodes probed.  Refs must carry in-range sectors
         (tree layout math guarantees it).
         """
-        profile = self._profile
-        if profile:
-            t0 = self.profiler.now()
         cache = self._caches.get(kind)
         if cache is None:
             raise ValueError(f"unknown metadata kind: {kind}")
@@ -220,17 +193,14 @@ class MetadataCaches:
                 if stop_at_hit:
                     break
                 continue
-            t, d, hit = self._access(kind, key, sector, is_write, True,
-                                     sectors_on_miss)
+            t, d, hit = self.access(kind, key, sector, is_write, True,
+                                    sectors_on_miss)
             if t:
                 transfers.extend(t)
             if d:
                 displaced.extend(d)
             if hit and stop_at_hit:  # pragma: no cover - resident probe
                 break  # already caught by the fast path above
-        if profile:
-            self.profiler.add_component(
-                "metadata_caches", self.profiler.now() - t0)
         return touched
 
     def clean(self, kind: str, line_key: int, sector: int) -> bool:

@@ -26,7 +26,9 @@ from __future__ import annotations
 import os
 import platform
 import statistics
+import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -274,11 +276,27 @@ def run_case(case: BenchCase, warmup: int, repeats: int,
     }
 
 
+def git_dirty(path: Path) -> Optional[bool]:
+    """Whether tracked files in the checkout holding ``path`` differ
+    from its commit (untracked files do not count); None outside a git
+    checkout."""
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=path, capture_output=True, text=True, timeout=5, check=True,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return bool(status.strip())
+
+
 def environment_fingerprint() -> dict:
     from repro.eval.results_io import code_version
 
     return {
         "git_sha": code_version(),
+        # A benchmark of uncommitted edits must not pass as git_sha's.
+        "git_dirty": git_dirty(Path(__file__).resolve().parent),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,

@@ -1,242 +1,156 @@
-"""Host wall-time stage profiling of the simulator itself.
+"""Host-time profiling of the simulator by stack sampling.
 
-The :class:`HostProfiler` answers "where does the *host* spend its
-time while simulating?" — the complement of the :mod:`repro.obs`
-layer, which observes simulated cycles.  Timing marks are threaded
-through the same constructor seams the observer uses
-(:class:`~repro.sim.runner.Runner` → :class:`~repro.sim.gpu.GPUSimulator`
-→ :class:`~repro.sim.pipeline.MemoryPipeline` /
-:class:`~repro.core.mee.MemoryEncryptionEngine` →
-:class:`~repro.metadata.caches.MetadataCaches`) and attribute host
-time to the five request-lifecycle stages the pipeline already models
-(ISSUED → L2 → METADATA → DRAM → COMPLETE), per run (workload/scheme).
+:class:`HostSampler` answers "where does the *host* spend its time
+while simulating?" — the complement of the :mod:`repro.obs` layer,
+which observes simulated cycles.  It is out of band: nothing in the
+simulator knows it exists, so a sampled run takes exactly the code
+path (event core, direct emission, fused metadata hits) of an
+unsampled one.
 
-Zero-overhead discipline, exactly like ``NULL_OBSERVER``: every
-instrumented object snapshots ``profiler.enabled`` into a local
-boolean at construction and the hot path pays one local-bool branch
-per mark when profiling is off — no attribute chasing, no calls.
-:data:`NULL_PROFILER` is the shared disabled instance.
+While the context is open, ``setitimer(ITIMER_PROF)`` delivers a
+SIGPROF every :data:`INTERVAL_S` of process CPU time.  The handler
+walks the interrupted stack outwards to the innermost ``repro`` frame
+and counts the sample against that frame's layer (:func:`layer_of`);
+a sample with no ``repro`` frame on the stack counts as ``other``.  A
+share is a layer's sample count over the run's total, so its standard
+error is ``sqrt(share * (1 - share) / samples)``.
 
-Component attribution is a *breakdown* of stage time, not additive
-with it: ``metadata_caches`` and the DRAM-scheduler service calls are
-timed inside their enclosing stage intervals, and the policy-stack
-share is derived as the METADATA remainder.
+A sampler rather than :mod:`cProfile`: a deterministic profiler adds a
+cost to every call, which inflates the call-dense layers it is meant
+to compare.  Unix only (``setitimer``), main thread only (CPython runs
+signal handlers there).
 """
 
 from __future__ import annotations
 
+import signal
+import threading
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from types import FrameType
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
-#: Schema version of :meth:`HostProfiler.snapshot` documents.
-HOST_PROFILE_FORMAT = 1
+#: Schema version of :meth:`HostSampler.report` documents.
+HOST_PROFILE_FORMAT = 2
 
-#: The five request-lifecycle stages host time is attributed to
-#: (mirrors :class:`repro.sim.pipeline.Stage`).
-STAGES = ("issued", "l2", "metadata", "dram", "complete")
+#: Sampling interval, in seconds of process CPU time.  Linux checks
+#: CPU-time timers at its scheduler tick, so the effective rate is at
+#: most ``HZ`` samples per CPU second (250 on a ``HZ=250`` kernel).
+INTERVAL_S = 0.001
 
-#: Component breakdown reported by :meth:`HostProfiler.snapshot`.
-COMPONENTS = ("frontend", "translate", "l2", "policy_stacks",
-              "metadata_caches", "dram_sched")
+#: ``(module prefix, layer)`` for the innermost ``repro`` frame; the
+#: first matching prefix wins.
+MODULE_LAYERS: Tuple[Tuple[str, str], ...] = (
+    ("repro.sim.gpu", "frontend"),
+    ("repro.sim.events", "frontend"),
+    ("repro.sim.frontend", "frontend"),
+    ("repro.sim.pipeline", "pipeline"),
+    ("repro.memory.l2", "l2"),
+    ("repro.memory.cache", "l2"),
+    ("repro.memory.mshr", "l2"),
+    ("repro.memory.dram", "dram"),
+    ("repro.memory.sched", "dram"),
+    ("repro.core", "mee"),
+    ("repro.metadata", "metadata"),
+    ("repro.obs", "obs"),
+)
+
+#: ``(module, function)`` pairs split out of their module's layer.
+FUNCTION_LAYERS: Dict[Tuple[str, str], str] = {
+    ("repro.sim.pipeline", "translate_batch"): "translate",
+}
+
+#: Every layer a sample can land in, in report order: ``setup`` is
+#: any other ``repro`` module, ``other`` a stack with no ``repro``
+#: frame.
+LAYERS = ("frontend", "translate", "pipeline", "l2", "mee", "metadata",
+          "dram", "obs", "setup", "other")
 
 
-class RunProfile:
-    """Accumulators for one simulated run (one workload x scheme)."""
-
-    __slots__ = ("label", "wall", "stages", "components", "start")
-
-    def __init__(self, label: str, start: float) -> None:
-        self.label = label
-        self.start = start
-        #: Host wall seconds between begin_run and end_run.
-        self.wall = 0.0
-        self.stages: Dict[str, float] = {stage: 0.0 for stage in STAGES}
-        #: Raw measured sub-intervals (nested inside stage intervals):
-        #: ``metadata_caches`` (MDC lookups), ``sched_meta`` /
-        #: ``sched_data`` (DRAM-scheduler service calls).
-        self.components: Dict[str, float] = {}
+def layer_of(module: str, function: str) -> Optional[str]:
+    """The layer of one frame, or None when it is not ``repro`` code."""
+    if module != "repro" and not module.startswith("repro."):
+        return None
+    layer = FUNCTION_LAYERS.get((module, function))
+    if layer is not None:
+        return layer
+    for prefix, layer in MODULE_LAYERS:
+        if module == prefix or module.startswith(prefix + "."):
+            return layer
+    return "setup"
 
 
-class HostProfiler:
-    """Collects stage-attributed host wall time, per run."""
+def fold(stack: Iterable[Tuple[str, str]]) -> str:
+    """The layer of one sample: ``stack`` yields ``(module, function)``
+    pairs from the innermost frame outwards."""
+    for module, function in stack:
+        layer = layer_of(module, function)
+        if layer is not None:
+            return layer
+    return "other"
 
-    enabled = True
-    #: The clock; a class attribute so tests can substitute a fake.
-    now: Callable[[], float] = staticmethod(perf_counter)
+
+def _frames(frame: Optional[FrameType]) -> Iterator[Tuple[str, str]]:
+    while frame is not None:
+        yield frame.f_globals.get("__name__", ""), frame.f_code.co_name
+        frame = frame.f_back
+
+
+class HostSampler:
+    """Context manager: SIGPROF stack sampling of the enclosed code.
+
+    Re-entering accumulates into the same counts.  The previous SIGPROF
+    handler and ``ITIMER_PROF`` setting are restored on exit, also when
+    the body raises.
+    """
 
     def __init__(self) -> None:
-        self.runs: List[RunProfile] = []
-        self._current: Optional[RunProfile] = None
-        #: Ledger clock: the timestamp of the last :meth:`mark`.
-        self._last = 0.0
+        self.counts: Dict[str, int] = dict.fromkeys(LAYERS, 0)
+        #: Host wall seconds spent inside the context.
+        self.wall_s = 0.0
+        #: Host seconds spent inside the SIGPROF handler.
+        self.sampler_s = 0.0
+        self._start = 0.0
+        self._previous_handler: Any = None
+        self._previous_timer = (0.0, 0.0)
 
-    # ------------------------------------------------------------------
-    # Run lifecycle
-    # ------------------------------------------------------------------
+    def __enter__(self) -> "HostSampler":
+        if not (hasattr(signal, "setitimer") and hasattr(signal, "SIGPROF")):
+            raise RuntimeError(
+                "host profiling needs signal.setitimer and SIGPROF, "
+                "which this platform lacks (Unix only)")
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(
+                "host profiling must run on the main thread: CPython "
+                "delivers SIGPROF to handlers only there")
+        self._previous_handler = signal.signal(signal.SIGPROF, self._sample)
+        self._previous_timer = signal.setitimer(
+            signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+        self._start = perf_counter()
+        return self
 
-    def begin_run(self, label: str) -> None:
-        run = RunProfile(label, self.now())
-        self.runs.append(run)
-        self._current = run
-        self._last = run.start
+    def __exit__(self, *exc_info: object) -> None:
+        self.wall_s += perf_counter() - self._start
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        previous = self._previous_handler
+        # None: the previous handler was not installed from Python.
+        signal.signal(signal.SIGPROF,
+                      signal.SIG_DFL if previous is None else previous)
+        if self._previous_timer[0] > 0.0:
+            signal.setitimer(signal.ITIMER_PROF, *self._previous_timer)
 
-    def end_run(self) -> None:
-        run = self._current
-        if run is not None:
-            run.wall += self.now() - run.start
-            self._current = None
+    def _sample(self, signum: int, frame: Optional[FrameType]) -> None:
+        start = perf_counter()
+        self.counts[fold(_frames(frame))] += 1
+        self.sampler_s += perf_counter() - start
 
-    # ------------------------------------------------------------------
-    # Hot-path accumulation
-    # ------------------------------------------------------------------
-
-    def mark(self, stage: str) -> None:
-        """Attribute all host time since the previous mark (or since
-        ``begin_run``) to one lifecycle stage and advance the ledger.
-
-        Contiguous by construction: consecutive marks tile the run's
-        wall time with no gaps, so stage attribution covers ~100 % of
-        the measured wall — call overhead between instrumented layers
-        lands in the adjacent stage instead of vanishing.
-        """
-        run = self._current
-        if run is None:
-            run = self._open_unattributed()
-        t = self.now()
-        run.stages[stage] += t - self._last
-        self._last = t
-
-    def add(self, stage: str, dt: float) -> None:
-        """Attribute ``dt`` host seconds to one lifecycle stage
-        (direct form, for externally measured intervals)."""
-        run = self._current
-        if run is None:
-            run = self._open_unattributed()
-        run.stages[stage] += dt
-
-    def add_component(self, component: str, dt: float) -> None:
-        """Attribute ``dt`` to a sub-component (nested in a stage)."""
-        run = self._current
-        if run is None:
-            run = self._open_unattributed()
-        run.components[component] = run.components.get(component, 0.0) + dt
-
-    def _open_unattributed(self) -> RunProfile:
-        """Marks arriving outside begin_run/end_run (e.g. a bare
-        pipeline driven without the simulator run loop) still land
-        somewhere inspectable instead of raising."""
-        self.begin_run("(unattributed)")
-        run = self._current
-        assert run is not None
-        return run
-
-    # ------------------------------------------------------------------
-    # Snapshot
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-ready per-run and total stage/component breakdown."""
-        runs: Dict[str, dict] = {}
-        total_wall = 0.0
-        total_stages = {stage: 0.0 for stage in STAGES}
-        total_components = {name: 0.0 for name in COMPONENTS}
-        for run in self.runs:
-            wall = run.wall
-            if run is self._current:  # still open: report live
-                wall += self.now() - run.start
-            attributed = sum(run.stages.values())
-            components = self._component_breakdown(run)
-            label = run.label
-            suffix = 2
-            while label in runs:  # repeated (workload, scheme) runs
-                label = f"{run.label}#{suffix}"
-                suffix += 1
-            runs[label] = {
-                "wall_s": wall,
-                "attributed_s": attributed,
-                "coverage": attributed / wall if wall > 0 else 0.0,
-                "stages_s": dict(run.stages),
-                "components_s": components,
-            }
-            total_wall += wall
-            for stage, value in run.stages.items():
-                total_stages[stage] += value
-            for name, value in components.items():
-                total_components[name] += value
-        total_attributed = sum(total_stages.values())
+    def report(self) -> dict:
+        """``wall_s``, ``samples``, ``sampler_s`` and each layer's share
+        of the samples (all zero when there are none)."""
+        samples = sum(self.counts.values())
         return {
-            "host_profile_format": HOST_PROFILE_FORMAT,
-            "runs": runs,
-            "total": {
-                "wall_s": total_wall,
-                "attributed_s": total_attributed,
-                "coverage": (total_attributed / total_wall
-                             if total_wall > 0 else 0.0),
-                "stages_s": total_stages,
-                "components_s": total_components,
-            },
+            "wall_s": self.wall_s,
+            "samples": samples,
+            "sampler_s": self.sampler_s,
+            "shares": {layer: count / samples if samples else 0.0
+                       for layer, count in self.counts.items()},
         }
-
-    @staticmethod
-    def _component_breakdown(run: RunProfile) -> Dict[str, float]:
-        """Map raw measured sub-intervals onto the reported component
-        vocabulary; the policy-stack share is what remains of the
-        METADATA stage once MDC lookups and metadata scheduling are
-        taken out."""
-        mdc = run.components.get("metadata_caches", 0.0)
-        sched_meta = run.components.get("sched_meta", 0.0)
-        sched_data = run.components.get("sched_data", 0.0)
-        # The event core's batched address translation is measured as
-        # its own sub-interval nested inside the ISSUED stage; what
-        # remains of that stage is frontend bookkeeping proper.
-        translate = run.components.get("translate", 0.0)
-        return {
-            "frontend": max(0.0, run.stages["issued"] - translate),
-            "translate": translate,
-            "l2": run.stages["l2"],
-            "policy_stacks": max(0.0, run.stages["metadata"] - mdc - sched_meta),
-            "metadata_caches": mdc,
-            "dram_sched": sched_meta + sched_data,
-        }
-
-
-class NullHostProfiler(HostProfiler):
-    """The disabled profiler: every operation is a no-op.
-
-    Instrumented code never calls these on the hot path (it branches
-    on a snapshotted ``enabled`` boolean instead), but accidental
-    calls must stay harmless and allocation-free."""
-
-    enabled = False
-
-    def begin_run(self, label: str) -> None:
-        pass
-
-    def end_run(self) -> None:
-        pass
-
-    def mark(self, stage: str) -> None:
-        pass
-
-    def add(self, stage: str, dt: float) -> None:
-        pass
-
-    def add_component(self, component: str, dt: float) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {
-            "host_profile_format": HOST_PROFILE_FORMAT,
-            "runs": {},
-            "total": {
-                "wall_s": 0.0,
-                "attributed_s": 0.0,
-                "coverage": 0.0,
-                "stages_s": {stage: 0.0 for stage in STAGES},
-                "components_s": {name: 0.0 for name in COMPONENTS},
-            },
-        }
-
-
-#: Shared disabled profiler (the ``NULL_OBSERVER`` of host timing).
-NULL_PROFILER = NullHostProfiler()

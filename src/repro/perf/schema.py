@@ -61,6 +61,10 @@ def validate_bench(doc: dict) -> dict:
                 or (expected is int and isinstance(value, bool)):
             _fail(f"environment.{key}",
                   f"must be {expected.__name__}, got {value!r}")
+    dirty = environment.get("git_dirty")
+    if dirty is not None and not isinstance(dirty, bool):
+        # Optional: documents older than the field omit it.
+        _fail("environment.git_dirty", f"must be a bool, got {dirty!r}")
 
     config = _require_mapping(doc, "config")
     for key, expected_types in _CONFIG_KEYS.items():

@@ -31,7 +31,6 @@ from repro.memory.l2 import PartitionL2
 from repro.memory.sched import build_scheduler
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.perf.hostprof import NULL_PROFILER, HostProfiler
 from repro.sim.events import CompletionWindow
 from repro.sim.frontend import Frontend, iter_batches
 from repro.sim.pipeline import L2_HIT_LATENCY, MemoryPipeline, ObserverHooks
@@ -50,15 +49,12 @@ class GPUSimulator:
         truth: Optional[TruthProvider] = None,
         record_stream: bool = False,
         observer: Optional[Observer] = None,
-        profiler: Optional[HostProfiler] = None,
         ledger=None,
     ) -> None:
         self.config = config
         self.scheme = config.scheme
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._observe = self.obs.enabled
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self._profile = self.profiler.enabled
         # Decision ledger (decision-granularity provenance): unlike an
         # observer it does NOT force the legacy core — see run().
         self.ledger = ledger if ledger is not None else NULL_LEDGER
@@ -88,7 +84,6 @@ class GPUSimulator:
             for p in range(gpu.num_partitions):
                 mee = MemoryEncryptionEngine(p, config, self.mapper, shared,
                                              truth, observer=self.obs,
-                                             profiler=profiler,
                                              ledger=self.ledger)
                 if self.scheme.l2_victim_cache:
                     victim = VictimController(
@@ -102,7 +97,7 @@ class GPUSimulator:
         hooks = ObserverHooks(self.obs) if self._observe else None
         self.pipeline = MemoryPipeline(
             config, self.mapper, self.channels, self.l2, self.mees,
-            hooks=hooks, record_stream=record_stream, profiler=profiler,
+            hooks=hooks, record_stream=record_stream,
         )
         self._latency = LatencyStats()
 
@@ -156,43 +151,24 @@ class GPUSimulator:
         layers (see :meth:`MemoryPipeline.run_batch`)."""
         window = CompletionWindow(window_size, gap)
         pipeline = self.pipeline
-        profile = self._profile
-        if profile:
-            prof = self.profiler
-            # .label, not .scheme.value: a custom registry scheme must
-            # not collide with its base design's run in the exports.
-            prof.begin_run(f"{workload.name}/{self.scheme.label}")
-
         if self.mees:
             for event in workload.init_copies():
                 self._host_copy(event, at_init=True)
-        if profile:
-            # Host-side copies walk the MEE metadata state.
-            prof.mark("metadata")
 
         latency = self._latency
         for kernel_idx, kernel in iter_batches(workload):
             pipeline.kernel_idx = kernel_idx
             self._kernel_boundary(kernel_idx, kernel.host_events,
                                   window.last_issue)
-            if profile:
-                prof.mark("metadata")
             pipeline.run_batch(window, kernel.accesses, latency)
 
-        end = window.drain()
-        if profile:
-            prof.mark("issued")
-        end = pipeline.final_flush(end)
+        end = pipeline.final_flush(window.drain())
         cycles = max(
             end,
             max((ch.next_free + ch.latency for ch in self.channels
                  if ch.stats.requests), default=0.0),
         )
-        result = self._result(workload, cycles)
-        if profile:
-            prof.mark("complete")
-            prof.end_run()
-        return result
+        return self._result(workload, cycles)
 
     def _run_legacy(self, workload: Workload, gap: float,
                     window_size: int) -> RunResult:
@@ -202,28 +178,21 @@ class GPUSimulator:
         frontend = Frontend(window_size, gap)
         pipeline = self.pipeline
         observe = self._observe
-        profile = self._profile
-        run_label = f"{workload.name}/{self.scheme.label}"
         if observe:
-            self.obs.begin_run(run_label, self.config.gpu.num_partitions)
-        if profile:
-            prof = self.profiler
-            prof.begin_run(run_label)
+            # .label, not .scheme.value: a custom registry scheme must
+            # not collide with its base design's run in the exports.
+            self.obs.begin_run(f"{workload.name}/{self.scheme.label}",
+                               self.config.gpu.num_partitions)
 
         if self.mees:
             for event in workload.init_copies():
                 self._host_copy(event, at_init=True)
-        if profile:
-            # Host-side copies walk the MEE metadata state.
-            prof.mark("metadata")
 
         prev_issue = 0.0
         for kernel_idx, kernel in enumerate(workload.kernels):
             pipeline.kernel_idx = kernel_idx
             self._kernel_boundary(kernel_idx, kernel.host_events,
                                   frontend.last_issue)
-            if profile:
-                prof.mark("metadata")
             if observe:
                 self.obs.kernel(kernel_idx, frontend.last_issue)
             for addr, is_write, nsectors in kernel.accesses:
@@ -238,8 +207,6 @@ class GPUSimulator:
                         if issue > start:
                             self.obs.stall(start, issue)
                     prev_issue = issue
-                if profile:
-                    prof.mark("issued")
                 completion = pipeline.access(issue, addr, is_write,
                                              nsectors).completion
                 if not is_write:
@@ -247,22 +214,14 @@ class GPUSimulator:
                     if observe:
                         self.obs.read_latency(issue, completion - issue)
                 frontend.complete(completion)
-                if profile:
-                    prof.mark("complete")
 
-        end = frontend.drain()
-        if profile:
-            prof.mark("issued")
-        end = pipeline.final_flush(end)
+        end = pipeline.final_flush(frontend.drain())
         cycles = max(
             end,
             max((ch.next_free + ch.latency for ch in self.channels
                  if ch.stats.requests), default=0.0),
         )
         result = self._result(workload, cycles)
-        if profile:
-            prof.mark("complete")
-            prof.end_run()
         if observe:
             self.obs.end_run(result)
         return result

@@ -30,7 +30,6 @@ from repro.core.mee import DRAMRequest, MEEResult, MemoryEncryptionEngine
 from repro.memory.cache import Eviction
 from repro.memory.dram import DRAMChannel
 from repro.memory.l2 import SAMPLE_STRIDE, PartitionL2
-from repro.perf.hostprof import NULL_PROFILER, HostProfiler
 from repro.sim.stats import L2Stats
 
 #: Completion latency of an L2 hit (core <-> L2 round trip).
@@ -186,7 +185,6 @@ class MemoryPipeline:
         mees: List[MemoryEncryptionEngine],
         hooks: Optional[PipelineHooks] = None,
         record_stream: bool = False,
-        profiler: Optional[HostProfiler] = None,
     ) -> None:
         self.config = config
         self.mapper = mapper
@@ -195,8 +193,6 @@ class MemoryPipeline:
         self.mees = mees
         self.hooks = hooks if hooks is not None else PipelineHooks()
         self._observe = self.hooks.enabled
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self._profile = self.profiler.enabled
         self.record_stream = record_stream
         self.streams: Dict[int, List[Tuple[int, bool, int]]] = {
             p: [] for p in range(config.gpu.num_partitions)
@@ -209,7 +205,7 @@ class MemoryPipeline:
         # Arm the MEEs' direct-emission fast path (metadata transfers
         # occupy their channel at emission time, bypassing the
         # DRAMRequest lists and the schedule() loop) — the MEE itself
-        # refuses to arm when an observer/profiler/victim cache needs
+        # refuses to arm when an observer or the victim cache needs
         # the materialised request stream.
         self._direct_meta = False
         if mees:
@@ -231,16 +227,7 @@ class MemoryPipeline:
     def access(self, issue: float, addr: int, is_write: bool,
                nsectors: int) -> MemoryRequest:
         """Run one access through the full lifecycle; the returned
-        request carries its completion cycle.
-
-        When host profiling is on, ledger marks attribute the body to
-        the L2 / METADATA / DRAM stages (write-backs self-attribute
-        through their own marks); each mark costs one local-boolean
-        branch when profiling is off.
-        """
-        profile = self._profile
-        if profile:
-            prof = self.profiler
+        request carries its completion cycle."""
         if self._direct_meta and self._observe:
             # Hooks were attached after construction: disarm direct
             # emission so the metadata_request stream they observe is
@@ -280,12 +267,8 @@ class MemoryPipeline:
                         line_key, sector, is_write=True, fetch_on_miss=False
                     )
                     if result.eviction is not None and result.eviction.dirty_sectors:
-                        if profile:
-                            prof.mark("l2")
                         wb_done = self.writeback(issue, result.eviction)
                         completion = max(completion, wb_done)
-            if profile:
-                prof.mark("l2")
             return self._complete(request, completion)
 
         completion = issue + L2_HIT_LATENCY
@@ -300,8 +283,6 @@ class MemoryPipeline:
             request.l2_miss = True
         if self._observe:
             self.hooks.l2_checked(request)
-        if profile:
-            prof.mark("l2")
         if fetch_sectors is not None:
             self.l2_stats.misses += 1
             ctr_done = 0.0
@@ -312,25 +293,19 @@ class MemoryPipeline:
                         issue, line_addr, local.offset
                     )
                 else:
-                    mee_result = self.mees[partition].on_read_miss(
-                        issue, line_addr, local.offset
+                    ctr_done = self._read_miss_meta(
+                        issue, partition, line_addr, local.offset
                     )
-                    ctr_done, _ = self.schedule(issue, mee_result)
                 if ctr_done:
                     # Pad generation (AES) starts when the counter
                     # arrives; decryption cannot complete before it.
                     ctr_done += self.config.gpu.hash_latency
             request.ctr_done = ctr_done
-            if profile:
-                prof.mark("metadata")
-                t_svc = prof.now()
             request.stage = Stage.DRAM
             size = len(fetch_sectors) * constants.SECTOR_SIZE
             data_done = self.channels[partition].service(
                 issue, size, address=line_addr
             )
-            if profile:
-                prof.add_component("sched_data", prof.now() - t_svc)
             self.traffic.data_bytes += size
             if self._observe:
                 self.hooks.data_transfer(issue, partition, size, False)
@@ -342,12 +317,28 @@ class MemoryPipeline:
                 self.streams[partition].append(
                     (local.offset, False, self.kernel_idx)
                 )
-            if profile:
-                prof.mark("dram")
 
         if eviction is not None and eviction.dirty_sectors:
             self.writeback(issue, eviction)
         return self._complete(request, completion)
+
+    def _read_miss_meta(self, issue: float, partition: int, line_addr: int,
+                        local_offset: int) -> float:
+        """The MEE walk of a read miss on the materialised path (both
+        cores): schedule its transfers, then send the dirty data lines
+        its victim insertions displaced from the L2 through the secure
+        write path.  Returns the decrypt-critical completion cycle."""
+        mee_result = self.mees[partition].on_read_miss(
+            issue, line_addr, local_offset
+        )
+        ctr_done, _ = self.schedule(issue, mee_result)
+        for disp in mee_result.displaced_data:
+            self.writeback(issue, Eviction(
+                key=disp.line_key,
+                dirty_sectors=disp.dirty_sectors,
+                valid_sectors=disp.dirty_sectors,
+            ))
+        return ctr_done
 
     def _complete(self, request: MemoryRequest,
                   completion: float) -> MemoryRequest:
@@ -440,15 +431,7 @@ class MemoryPipeline:
         """
         if not accesses:
             return
-        profile = self._profile
-        prof = self.profiler
-        if profile:
-            t0 = prof.now()
         translated = self.translate_batch(accesses)
-        if profile:
-            prof.add_component("translate", prof.now() - t0)
-            prof.mark("issued")
-            mark = prof.mark
         # Window state (the event queue), hoisted.
         heap = window.inflight
         cap = window.max_inflight
@@ -463,7 +446,7 @@ class MemoryPipeline:
         hit_latency = L2_HIT_LATENCY
         store_alloc = self._store_alloc
         writeback = self.writeback
-        schedule = self.schedule
+        read_miss_meta = self._read_miss_meta
         mees = self.mees
         channels = self.channels
         traffic = self.traffic
@@ -493,16 +476,12 @@ class MemoryPipeline:
                     last_stall = freed - issue
                     stall_cycles += last_stall
                     issue = freed
-            if profile:
-                mark("issued")
             # -- L2 ---------------------------------------------------
             completion = issue + hit_latency
             if is_write:
                 if not cache.write_range_resident(line_key, first, last):
                     completion = store_alloc(issue, line_key, bank, first,
                                              last, completion)
-                if profile:
-                    mark("l2")
             else:
                 line = lines.get(line_key)
                 if (line is not None and range_mask
@@ -530,15 +509,11 @@ class MemoryPipeline:
                                     merged_done = merged
                         if merged_done > completion:
                             completion = merged_done
-                    if profile:
-                        mark("l2")
                 else:
                     merged_done, fetch_sectors, eviction = \
                         bank.access_data_range(line_key, first, last, issue)
                     if merged_done > completion:
                         completion = merged_done
-                    if profile:
-                        mark("l2")
                     if fetch_sectors is not None:
                         # Read miss, inlined from the miss block of
                         # :meth:`access`: MEE metadata walk, demand
@@ -551,18 +526,14 @@ class MemoryPipeline:
                                     issue, line_addr, local_offset
                                 )
                             else:
-                                mee_result = mees[partition].on_read_miss(
-                                    issue, line_addr, local_offset
+                                ctr_done = read_miss_meta(
+                                    issue, partition, line_addr, local_offset
                                 )
-                                ctr_done, _ = schedule(issue, mee_result)
                             if ctr_done:
                                 # Pad generation (AES) starts when the
                                 # counter arrives; decryption cannot
                                 # complete before it.
                                 ctr_done += hash_latency
-                        if profile:
-                            mark("metadata")
-                            t_svc = prof.now()
                         size = len(fetch_sectors) * sector_size
                         channel = channels[partition]
                         if channel.fifo_fast:
@@ -588,9 +559,6 @@ class MemoryPipeline:
                             data_done = channel.service(
                                 issue, size, address=line_addr
                             )
-                        if profile:
-                            prof.add_component("sched_data",
-                                               prof.now() - t_svc)
                         traffic.data_bytes += size
                         done = (data_done if data_done >= ctr_done
                                 else ctr_done)
@@ -602,8 +570,6 @@ class MemoryPipeline:
                             streams[partition].append(
                                 (local_offset, False, kernel_idx)
                             )
-                        if profile:
-                            mark("dram")
                     if eviction is not None and eviction.dirty_sectors:
                         writeback(issue, eviction)
                 record(completion - issue)
@@ -611,8 +577,6 @@ class MemoryPipeline:
             heappush(heap, completion)
             if completion > last_completion:
                 last_completion = completion
-            if profile:
-                mark("complete")
 
         window.seq = seq
         window.stall_cycles = stall_cycles
@@ -620,8 +584,6 @@ class MemoryPipeline:
         window.last_issue = issue
         window.last_completion = last_completion
         latency.record_batch(latencies)
-        if profile:
-            prof.mark("complete")
 
     def _store_alloc(self, issue: float, line_key: int, bank, first: int,
                      last: int, completion: float) -> float:
@@ -632,17 +594,12 @@ class MemoryPipeline:
         in victim mode the write-back can reshape this very set
         between sector accesses, so the sequential per-sector loop of
         :meth:`access` is kept."""
-        profile = self._profile
-        if profile:
-            prof = self.profiler
         cache = bank.cache
         if not self._victim_mode:
             _, _, eviction = cache.access_range(
                 line_key, first, last, is_write=True, fetch_on_miss=False
             )
             if eviction is not None and eviction.dirty_sectors:
-                if profile:
-                    prof.mark("l2")
                 wb_done = self.writeback(issue, eviction)
                 if wb_done > completion:
                     completion = wb_done
@@ -652,8 +609,6 @@ class MemoryPipeline:
                 line_key, sector, is_write=True, fetch_on_miss=False
             )
             if result.eviction is not None and result.eviction.dirty_sectors:
-                if profile:
-                    prof.mark("l2")
                 wb_done = self.writeback(issue, result.eviction)
                 completion = max(completion, wb_done)
         return completion
@@ -665,16 +620,7 @@ class MemoryPipeline:
     def writeback(self, issue: float, eviction: Eviction) -> float:
         """Process dirty L2 lines reaching memory (iteratively: victim
         insertions may displace further dirty data lines).  Returns the
-        completion time of the last data write (store backpressure).
-
-        Self-attributing under host profiling (callers mark their own
-        segment closed before calling): the data write is DRAM-stage
-        time, the secure write path through the MEE is METADATA-stage
-        time.
-        """
-        profile = self._profile
-        if profile:
-            prof = self.profiler
+        completion time of the last data write (store backpressure)."""
         last_done = issue
         # The displacement queue is created lazily: the overwhelmingly
         # common write-back displaces nothing, and this path also runs
@@ -696,8 +642,6 @@ class MemoryPipeline:
                 partition = chunk % nparts
                 local_offset = ((chunk // nparts) * mapper.interleave_bytes
                                 + (phys & mapper._ilv_mask))
-                if profile:
-                    t_svc = prof.now()
                 channel = self.channels[partition]
                 if channel.fifo_fast:
                     done = channel.occupy(issue, size, True)
@@ -705,8 +649,6 @@ class MemoryPipeline:
                     done = channel.service(
                         issue, size, is_write=True, address=phys
                     )
-                if profile:
-                    prof.add_component("sched_data", prof.now() - t_svc)
                 if done > last_done:
                     last_done = done
                 self.traffic.data_bytes += size
@@ -718,8 +660,6 @@ class MemoryPipeline:
                         (local_offset, True, self.kernel_idx)
                     )
                 if self.mees:
-                    if profile:
-                        prof.mark("dram")
                     if self._direct_meta:
                         # Direct mode: the secure write path emits
                         # straight to the channels, and (victim cache
@@ -743,11 +683,7 @@ class MemoryPipeline:
                                         valid_sectors=disp.dirty_sectors,
                                     )
                                 )
-                    if profile:
-                        prof.mark("metadata")
             ev = queue.popleft() if queue else None
-        if profile:
-            prof.mark("dram")
         return last_done
 
     # ------------------------------------------------------------------
@@ -768,12 +704,7 @@ class MemoryPipeline:
         traffic = self.traffic
         channels = self.channels
         observe = self._observe
-        profile = self._profile
-        if profile:
-            prof = self.profiler
         for req in requests:
-            if profile:
-                t_svc = prof.now()
             channel = channels[req.partition]
             if channel.fifo_fast:
                 # FIFO ``service`` is a pure pass-through to ``occupy``
@@ -785,8 +716,6 @@ class MemoryPipeline:
                     issue, req.size, req.is_write, address=req.address,
                     kind=req.kind, critical=req.critical,
                 )
-            if profile:
-                prof.add_component("sched_meta", prof.now() - t_svc)
             # Inline dispatch for the built-in kinds; anything else
             # must be registered (an unknown kind used to be silently
             # booked as demand data).
@@ -827,17 +756,10 @@ class MemoryPipeline:
         secure write path, dirty metadata drains to DRAM, and any
         writes a scheduler was still deferring are issued.  Returns the
         completion cycle of the last teardown transfer (>= ``end``)."""
-        profile = self._profile
-        if profile:
-            prof = self.profiler
         last = end
         for partition in range(self.config.gpu.num_partitions):
             for eviction in self.l2[partition].flush():
-                if profile:
-                    prof.mark("l2")
                 last = max(last, self.writeback(end, eviction))
-        if profile:
-            prof.mark("l2")
         for mee in self.mees:
             if self._direct_meta:
                 last = max(last, mee.flush_direct(end))
@@ -845,10 +767,6 @@ class MemoryPipeline:
                 result = MEEResult(requests=mee.flush())
                 _, flush_done = self.schedule(end, result)
                 last = max(last, flush_done)
-        if profile:
-            prof.mark("metadata")
         for channel in self.channels:
             last = max(last, channel.drain())
-        if profile:
-            prof.mark("dram")
         return last

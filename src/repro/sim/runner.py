@@ -26,7 +26,6 @@ from repro.common.types import Scheme
 from repro.core.policies.registry import scheme_entry
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.perf.hostprof import NULL_PROFILER, HostProfiler
 from repro.sim.gpu import GPUSimulator
 from repro.sim.profiling import TraceProfile
 from repro.sim.stats import RunResult
@@ -59,15 +58,10 @@ class Runner:
 
     def __init__(self, config: Optional[SimConfig] = None, scale: float = 1.0,
                  observer: Optional[Observer] = None,
-                 profiler: Optional[HostProfiler] = None,
                  ledger=None) -> None:
         self.config = config or SimConfig()
         self.scale = scale
         self.observer = observer if observer is not None else NULL_OBSERVER
-        #: Host-time profiler threaded into scheme runs (calibration
-        #: runs stay unprofiled: only protected-run host time is the
-        #: optimisation target).
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Decision ledger threaded into scheme runs.  A plain settable
         #: attribute (read per run()) so campaign cells can attach a
         #: fresh ledger per cell and restore NULL_LEDGER after.
@@ -115,26 +109,31 @@ class Runner:
         """
         entry = scheme_entry(scheme)
         cacheable = (not overrides and not self.observer.enabled
-                     and not self.profiler.enabled
                      and not self.ledger.enabled)
         key = (name, entry.name)
         if cacheable and key in self._results:
             return copy.deepcopy(self._results[key])
         if cacheable and entry.name == Scheme.UNPROTECTED.value:
             return self.baseline(name)
+        result = self.simulate(name, entry.name, **overrides)
+        if cacheable:
+            self._results[key] = copy.deepcopy(result)
+        return result
+
+    def simulate(self, name: str, scheme, **overrides) -> RunResult:
+        """Simulate one scheme on one workload at its calibrated
+        window, bypassing the result cache — an ``unprotected`` run is
+        re-simulated, not served from the calibration baseline."""
+        entry = scheme_entry(scheme)
         calib = self.calibration(name)
         config = self.config.with_scheme(entry.name, **overrides)
         if self.ledger.enabled:
             self.ledger.begin_run(f"{name}/{entry.name}")
         sim = GPUSimulator(config, truth=calib.profile,
                            observer=self.observer,
-                           profiler=self.profiler,
                            ledger=self.ledger)
-        result = sim.run(self.workload(name), gap=GAP_EPSILON,
-                         max_inflight=calib.window)
-        if cacheable:
-            self._results[key] = copy.deepcopy(result)
-        return result
+        return sim.run(self.workload(name), gap=GAP_EPSILON,
+                       max_inflight=calib.window)
 
     def clear_results(self) -> None:
         """Drop cached (workload, scheme) runs while keeping the

@@ -268,5 +268,6 @@ class TestHostProfileCli:
         out = capsys.readouterr().out
         assert "host-time profile" in out
         assert "atax/pssm" in out
-        for stage in ("issued", "l2", "metadata", "dram", "complete"):
-            assert stage in out
+        for layer in ("frontend", "translate", "pipeline", "l2", "mee",
+                      "metadata", "dram", "setup", "samples", "sampler"):
+            assert layer in out

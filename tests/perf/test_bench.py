@@ -2,6 +2,7 @@
 statistics, document validation and the emitted-file CLI path."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -72,8 +73,26 @@ class TestExecution:
 
     def test_environment_fingerprint(self):
         env = bench.environment_fingerprint()
-        assert set(env) == {"git_sha", "python", "platform", "cpu_count"}
+        assert set(env) == {"git_sha", "git_dirty", "python", "platform",
+                            "cpu_count"}
+        assert env["git_dirty"] in (True, False, None)
         assert env["cpu_count"] >= 1
+
+    def test_git_dirty_tracks_modified_tracked_files(self, tmp_path):
+        assert bench.git_dirty(tmp_path) is None  # not a checkout
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+               "-c", "commit.gpgsign=false"]
+        subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+        (tmp_path / "tracked.txt").write_text("v1\n")
+        subprocess.run(git + ["add", "tracked.txt"], cwd=tmp_path,
+                       check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "init"], cwd=tmp_path,
+                       check=True)
+        assert bench.git_dirty(tmp_path) is False
+        (tmp_path / "untracked.txt").write_text("scratch\n")
+        assert bench.git_dirty(tmp_path) is False
+        (tmp_path / "tracked.txt").write_text("v2\n")
+        assert bench.git_dirty(tmp_path) is True
 
     def test_default_output_name(self):
         assert bench.default_output_name(

@@ -1,13 +1,11 @@
-"""The zero-overhead guard for disabled observability (ISSUE
-satellite): the NULL observer/profiler path must not add measurable
-host time.
+"""The zero-overhead guard for disabled observability: the NULL
+observer path must not add measurable host time.
 
 Two layers of defence:
 
-* **counting proxies** — disabled-path runs must never sample the
-  profiler clock nor execute any hook body (the hot path is one local
-  boolean branch), which is what makes the <5 % bound hold by
-  construction;
+* **counting proxies** — disabled-path runs must never execute any
+  hook body (the hot path is one local boolean branch), which is what
+  makes the <5 % bound hold by construction;
 * a **min-of-N timing ratio** between interleaved default-constructed
   and explicit-NULL runs (< 1.05), pinning the two spellings of "off"
   to the same cost.
@@ -17,61 +15,22 @@ from time import perf_counter
 
 from repro.common.types import Scheme
 from repro.obs.observer import NULL_OBSERVER
-from repro.perf.hostprof import NULL_PROFILER, NullHostProfiler
 from repro.sim.gpu import GPUSimulator
 from repro.sim.runner import Runner
 from tests.conftest import build_tiny_streaming
 
 
-class CountingNull(NullHostProfiler):
-    """A disabled profiler that counts every touch it receives."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.clock_samples = 0
-        self.calls = 0
-
-    def now(self) -> float:  # type: ignore[override]
-        self.clock_samples += 1
-        return perf_counter()
-
-    def mark(self, stage: str) -> None:
-        self.calls += 1
-
-    def add(self, stage: str, dt: float) -> None:
-        self.calls += 1
-
-    def add_component(self, component: str, dt: float) -> None:
-        self.calls += 1
-
-
 class TestCountingProxies:
-    def test_disabled_profiler_is_never_touched(self):
-        counting = CountingNull()
-        runner = Runner(profiler=counting)
-        runner.add_workload(build_tiny_streaming())
-        runner.run("tiny-stream", Scheme.SHM)
-        assert counting.clock_samples == 0
-        assert counting.calls == 0
-
     def test_default_construction_uses_shared_nulls(self):
         sim = GPUSimulator(Runner().config.with_scheme(Scheme.SHM))
-        assert sim.profiler is NULL_PROFILER
         assert sim.obs is NULL_OBSERVER
-        assert sim._profile is False
-
-    def test_disabled_run_leaves_null_profiler_empty(self):
-        runner = Runner(profiler=NULL_PROFILER)
-        runner.add_workload(build_tiny_streaming())
-        runner.run("tiny-stream", Scheme.PSSM)
-        assert NULL_PROFILER.runs == []
-        assert NULL_PROFILER.snapshot()["runs"] == {}
+        assert sim._observe is False
 
 
 class TestTimingRatio:
     def test_null_path_within_5_percent_of_hookless(self):
-        """Interleaved min-of-N: the run with NULL observer+profiler
-        passed explicitly vs the default (hook-free spelling) run.
+        """Interleaved min-of-N: the run with the NULL observer passed
+        explicitly vs the default (hook-free spelling) run.
         Both must hit the identical branch-only hot path, so the
         min-of-N ratio stays within the 5 % bound of the ISSUE.
 
@@ -86,7 +45,7 @@ class TestTimingRatio:
         workload = build_tiny_streaming()
 
         def make_runner(explicit_nulls: bool) -> Runner:
-            runner = (Runner(observer=NULL_OBSERVER, profiler=NULL_PROFILER)
+            runner = (Runner(observer=NULL_OBSERVER)
                       if explicit_nulls else Runner())
             runner.add_workload(workload)
             runner.calibration(workload.name)  # outside the timed region

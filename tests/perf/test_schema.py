@@ -30,6 +30,12 @@ class TestAccept:
         doc = make_doc()
         assert validate_bench(doc) is doc
 
+    @pytest.mark.parametrize("dirty", [True, False, None])
+    def test_git_dirty_is_an_optional_bool(self, dirty):
+        doc = make_doc()
+        doc["environment"]["git_dirty"] = dirty
+        assert validate_bench(doc) is doc
+
 
 class TestReject:
     def check_rejected(self, mutate, fragment):
@@ -49,6 +55,10 @@ class TestReject:
     def test_missing_environment_key(self):
         self.check_rejected(
             lambda d: d["environment"].pop("git_sha"), "git_sha")
+
+    def test_git_dirty_must_be_a_bool(self):
+        self.check_rejected(
+            lambda d: d["environment"].update(git_dirty="yes"), "git_dirty")
 
     def test_bool_is_not_an_int(self):
         self.check_rejected(

@@ -10,10 +10,11 @@ import pytest
 from repro.common import constants
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
-from repro.core.mee import DRAMRequest, MEEResult
+from repro.core.mee import DRAMRequest, MEEResult, MemoryEncryptionEngine
 from repro.sim.gpu import GPUSimulator
 from repro.sim.pipeline import (
     L2_HIT_LATENCY,
+    MemoryPipeline,
     TRAFFIC_KIND_COUNTERS,
     MemoryRequest,
     PipelineHooks,
@@ -200,3 +201,37 @@ def test_streams_recorded_through_pipeline():
     sim = GPUSimulator(config, record_stream=True)
     sim.run(workload, max_inflight=256)
     assert sum(len(s) for s in sim.streams.values()) > 0
+
+
+# ---------------------------------------------------------------------------
+# Victim-cache displacement on the read path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("core", ["event", "legacy"])
+def test_read_miss_displaced_dirty_data_is_written_back(core, monkeypatch):
+    """Under SHM_vL2 a read miss's metadata walk can park a victim line
+    in the L2 that displaces a dirty data line.  That line must reach
+    the secure write path before the next read miss, on both cores."""
+    pending = []
+    displaced = []
+    on_read_miss = MemoryEncryptionEngine.on_read_miss
+    writeback = MemoryPipeline.writeback
+
+    def spy_read_miss(mee, *args):
+        assert not pending, "displaced dirty data lines were dropped"
+        result = on_read_miss(mee, *args)
+        pending.extend(d.line_key for d in result.displaced_data)
+        displaced.extend(result.displaced_data)
+        return result
+
+    def spy_writeback(pipeline, issue, eviction):
+        if eviction.key in pending:
+            pending.remove(eviction.key)
+        return writeback(pipeline, issue, eviction)
+
+    monkeypatch.setattr(MemoryEncryptionEngine, "on_read_miss", spy_read_miss)
+    monkeypatch.setattr(MemoryPipeline, "writeback", spy_writeback)
+    config = replace(SimConfig(), core=core).with_scheme(Scheme.SHM_VL2)
+    GPUSimulator(config).run(build_tiny_random(), max_inflight=64)
+    assert displaced, "the workload no longer displaces dirty data"
+    assert not pending
