@@ -144,8 +144,8 @@ class MemoryEncryptionEngine:
         # Decision ledger: a *separate* channel from the observer.  It
         # taps at decision granularity only, so — unlike an observer —
         # it does NOT flip _observe, does not degrade _fast_meta and
-        # never disarms direct emission: ledgered runs keep the event
-        # core and its fused fast paths.
+        # never disarms direct emission: ledgered runs keep the fused
+        # fast paths.
         self.led = ledger if ledger is not None else NULL_LEDGER
         self._led = self.led.enabled
         # Cost scope (see _led_begin/_led_end): while _led_track is
@@ -337,18 +337,11 @@ class MemoryEncryptionEngine:
         self._traffic = traffic
         self._direct = self._fast_meta and not self.scheme.l2_victim_cache
 
-    def detach_direct(self) -> None:
-        """Disarm direct emission (hooks attached after construction):
-        fall back to materialised :class:`MetaTransfer` /
-        :class:`DRAMRequest` streams so every consumer sees them."""
-        self._direct = False
-
     def attach_ledger(self, ledger) -> None:
         """Attach (or detach, with the NULL ledger) a decision ledger
-        after construction.  Unlike :meth:`detach_direct`, this leaves
-        ``_observe`` / ``_fast_meta`` / ``_direct`` untouched: the
-        ledger taps fire at decision granularity and are legal on the
-        fused fast paths of both cores."""
+        after construction.  This leaves ``_observe`` / ``_fast_meta``
+        / ``_direct`` untouched: the ledger taps fire at decision
+        granularity and are legal on the fused fast paths."""
         self.led = ledger if ledger is not None else NULL_LEDGER
         self._led = self.led.enabled
         self._led_track = False

@@ -35,13 +35,13 @@ whole stack (SimConfig / Runner / campaign / CLI):
 Determinism: all arithmetic is plain int/float, exploration is seeded
 by ``zlib.crc32`` over ``(partition, region, epoch)`` — no ``random``
 module state, no ``hash()`` — so learned-scheme runs are byte-identical
-across execution cores, serial vs. pool campaigns and any
-``PYTHONHASHSEED`` (pinned by the determinism suite).
+between serial and pool campaigns and under any ``PYTHONHASHSEED``
+(pinned by the determinism suite).
 
-The taps are the same shared decision sites the ledger uses, so both
-execution cores support learned schemes, and the exact-type fusion
-check in :class:`~repro.core.mee.MemoryEncryptionEngine` routes
-learned subclasses onto the generic (shared) policy path on both.
+The taps are the same shared decision sites the ledger uses, and the
+exact-type fusion check in
+:class:`~repro.core.mee.MemoryEncryptionEngine` routes learned
+subclasses onto the generic (shared) policy path.
 """
 
 from __future__ import annotations

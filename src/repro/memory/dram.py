@@ -90,18 +90,21 @@ class DRAMChannel:
             else:
                 scheduler = FIFOScheduler()
         self.scheduler = scheduler
-        #: True when the discipline is plain FIFO: ``service`` is then
-        #: a pure pass-through to :meth:`occupy`, and the pipeline's
-        #: batch core may call ``occupy`` directly (identical timing
-        #: arithmetic, two call layers fewer).  Snapshot at
-        #: construction — channels own their scheduler for life.
-        self.fifo_fast = type(scheduler) is FIFOScheduler
         self._next_free = 0.0
         self._last_was_write = False
         self.stats = DRAMStats()
         self.partition = partition
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._observe = self.obs.enabled
+        #: True when the discipline is plain FIFO and no observer is
+        #: attached: ``service`` is then a pure pass-through to
+        #: :meth:`occupy`, and callers may call ``occupy`` directly or
+        #: inline its arithmetic (identical timing, call layers fewer;
+        #: an inlined occupy emits no ``dram`` event, hence the
+        #: observer condition).  Snapshot at construction — channels
+        #: own their scheduler and observer for life.
+        self.fifo_fast = (type(scheduler) is FIFOScheduler
+                          and not self._observe)
 
     def service(self, arrival: float, size: int, is_write: bool = False,
                 address: int = -1, kind: str = "data",

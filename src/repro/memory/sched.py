@@ -159,7 +159,7 @@ class CriticalFirstScheduler(DRAMScheduler):
             self._pending_bytes += size
             while len(self._deferred) > self.capacity:
                 self._issue_oldest(channel)
-            return self._posted_estimate(channel)
+            return self._posted_estimate(channel, arrival)
         # Fill bus idle time before the demand transaction with
         # buffered writes that fit entirely into the gap — *including*
         # the read-return turnaround: issuing a write flips the bus to
@@ -181,22 +181,28 @@ class CriticalFirstScheduler(DRAMScheduler):
                 self._issue_oldest(channel)
         return channel.occupy(arrival, size, is_write)
 
-    def _posted_estimate(self, channel: "DRAMChannel") -> float:
-        """Completion estimate for the newest buffered write.
+    def _posted_estimate(self, channel: "DRAMChannel",
+                         arrival: float) -> float:
+        """Completion estimate for the newest buffered write, which
+        arrived at ``arrival``.
 
         The write retires once the bus is free *and* everything queued
         ahead of it in the buffer has drained, each entry paying its
         own request overhead and transfer time (the old estimate —
         ``next_free + latency`` — pretended the write was free and
         ahead of its own queue).  If the bus is in read mode, the
-        first drained write pays the turnaround once.  O(1): the
-        buffered byte total is maintained incrementally.
+        first drained write pays the turnaround once.  The queue is
+        counted from ``next_free``, which on an idle bus lies in the
+        write's past, so the estimate is floored at ``arrival +
+        latency``: a write never completes before it arrives.  O(1):
+        the buffered byte total is maintained incrementally.
         """
         occupancy = (len(self._deferred) * channel.request_overhead
                      + self._pending_bytes / channel.bytes_per_cycle)
         if not channel.last_was_write:
             occupancy += channel.turnaround
-        return channel.next_free + occupancy + channel.latency
+        return max(channel.next_free + occupancy + channel.latency,
+                   arrival + channel.latency)
 
     def _issue_oldest(self, channel: "DRAMChannel") -> float:
         arrival, size, _ = self._deferred.popleft()

@@ -13,10 +13,10 @@ plus the analytic stall-cycle equivalent of that traffic.
 Decisions fire at decision granularity — thousands of events per run,
 not millions of accesses — so, unlike the per-access
 :class:`~repro.obs.observer.Observer`, an attached ledger does **not**
-force the simulator onto the legacy per-access core.  Instrumented
-code snapshots ``ledger.enabled`` into a local boolean (``mee._led``)
-and pays one branch per decision site; :data:`NULL_LEDGER` is the
-disabled default, mirroring ``NULL_OBSERVER``.
+switch the MEE off its fused fast paths.  Instrumented code snapshots
+``ledger.enabled`` into a local boolean (``mee._led``) and pays one
+branch per decision site; :data:`NULL_LEDGER` is the disabled default,
+mirroring ``NULL_OBSERVER``.
 
 Every row also carries the region's online **feature vector**,
 recomputed at decision time from ledger-held per-region state.  The
@@ -36,10 +36,11 @@ learned-policy work consumes it as training input:
   covering gaps in ``[4^i, 4^(i+1))`` cycles (``g7`` open-ended).
 
 Determinism: rows are appended in issue order (cycles are globally
-non-decreasing in both cores), all arithmetic is plain int/float, and
+non-decreasing), all arithmetic is plain int/float, and
 :meth:`DecisionLedger.write_jsonl` serialises with sorted keys — the
-canonical export is byte-identical across cores, serial vs pool, and
-under any ``PYTHONHASHSEED`` (pinned by the determinism suite).
+canonical export is byte-identical between the batch loop and the
+per-access reference drive, serial vs pool, and under any
+``PYTHONHASHSEED`` (pinned by the determinism suite).
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ class DecisionLedger:
 
     Attach one to a :class:`~repro.sim.runner.Runner` (or pass it to
     :class:`~repro.sim.gpu.GPUSimulator`); the MEEs snapshot it at
-    construction and call the ``record_*`` methods at decision sites
-    on **both** execution cores.  Costs arrive pre-measured from the
+    construction and call the ``record_*`` methods at decision
+    sites.  Costs arrive pre-measured from the
     MEE's emission scope (:meth:`~repro.core.mee.MemoryEncryptionEngine`
     ``_led_begin``/``_led_end``); the ledger converts them to stall
     cycles analytically: ``transfers * request_overhead +

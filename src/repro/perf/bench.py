@@ -167,18 +167,12 @@ def _setup_sched(name: str) -> Callable[[], Tuple[Callable[[], Any], int]]:
     return setup
 
 
-def _setup_macro(workload: str, scheme: str,
-                 core: Optional[str] = None) -> Callable[[], Tuple[Callable[[], Any], int]]:
+def _setup_macro(workload: str,
+                 scheme: str) -> Callable[[], Tuple[Callable[[], Any], int]]:
     def setup() -> Tuple[Callable[[], Any], int]:
-        from dataclasses import replace
-
-        from repro.common.config import SimConfig
         from repro.sim.runner import Runner
 
-        config = SimConfig()
-        if core is not None:
-            config = replace(config, core=core)
-        runner = Runner(config=config, scale=MACRO_SCALE)
+        runner = Runner(scale=MACRO_SCALE)
         runner.calibration(workload)  # excluded from the timed region
 
         def op() -> None:
@@ -195,12 +189,10 @@ def _setup_macro(workload: str, scheme: str,
 # ----------------------------------------------------------------------
 
 def build_cases(smoke: bool = False,
-                pattern: Optional[str] = None,
-                core: Optional[str] = None) -> List[BenchCase]:
+                pattern: Optional[str] = None) -> List[BenchCase]:
     """The pinned benchmark list; ``smoke`` keeps the full micro
     matrix but only one macro cell, ``pattern`` is a substring filter
-    on benchmark names, ``core`` pins the macro cells' execution core
-    (default: the process default — ``REPRO_CORE`` or ``event``)."""
+    on benchmark names."""
     from repro.memory.sched import available_schedulers
 
     cases = [
@@ -224,7 +216,7 @@ def build_cases(smoke: bool = False,
     for workload, scheme in macro_grid:
         cases.append(BenchCase(f"macro.{workload}.{scheme}", "macro",
                                "ms/run",
-                               _setup_macro(workload, scheme, core=core),
+                               _setup_macro(workload, scheme),
                                1e3))
 
     if pattern:
@@ -309,22 +301,14 @@ def run_bench(
     repeats: Optional[int] = None,
     warmup: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    core: Optional[str] = None,
 ) -> dict:
     """Run the matrix and return the ``bench_format`` document."""
-    from repro.common.config import VALID_CORES, _default_core
-
-    if core is None:
-        core = _default_core()
-    if core not in VALID_CORES:
-        raise ValueError(
-            f"unknown core {core!r}; expected one of {VALID_CORES}")
     if repeats is None:
         repeats = 3 if smoke else 5
     if warmup is None:
         warmup = 1 if smoke else 2
     rounds = 1 if smoke else 3
-    cases = build_cases(smoke=smoke, pattern=pattern, core=core)
+    cases = build_cases(smoke=smoke, pattern=pattern)
     if not cases:
         raise ValueError(f"no benchmarks match filter {pattern!r}")
     benchmarks = {}
@@ -341,7 +325,6 @@ def run_bench(
             "warmup": warmup,
             "rounds": rounds,
             "macro_scale": MACRO_SCALE,
-            "core": core,
         },
         "benchmarks": benchmarks,
     }

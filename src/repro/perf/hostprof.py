@@ -4,7 +4,7 @@
 while simulating?" — the complement of the :mod:`repro.obs` layer,
 which observes simulated cycles.  It is out of band: nothing in the
 simulator knows it exists, so a sampled run takes exactly the code
-path (event core, direct emission, fused metadata hits) of an
+path (batch loop, direct emission, fused metadata hits) of an
 unsampled one.
 
 While the context is open, ``setitimer(ITIMER_PROF)`` delivers a
@@ -42,7 +42,6 @@ INTERVAL_S = 0.001
 MODULE_LAYERS: Tuple[Tuple[str, str], ...] = (
     ("repro.sim.gpu", "frontend"),
     ("repro.sim.events", "frontend"),
-    ("repro.sim.frontend", "frontend"),
     ("repro.sim.pipeline", "pipeline"),
     ("repro.memory.l2", "l2"),
     ("repro.memory.cache", "l2"),

@@ -73,6 +73,8 @@ def validate_bench(doc: dict) -> dict:
                 or isinstance(value, bool) != (expected_types is bool):
             _fail(f"config.{key}", f"bad value {value!r}")
     core = config.get("core")
+    # Optional: documents written while the simulator had a second
+    # execution core record which one their macro cells ran on.
     if core is not None and not isinstance(core, str):
         _fail("config.core", f"bad value {core!r}")
     if config["repeats"] < 1:

@@ -1,7 +1,7 @@
-"""Simulation engine: frontend, GPU model, profiling, runner, stats."""
+"""Simulation engine: issue window, GPU model, profiling, runner, stats."""
 
 from repro.sim.checker import FunctionalReplay
-from repro.sim.frontend import Frontend
+from repro.sim.events import CompletionWindow
 from repro.sim.gpu import GPUSimulator, L2_HIT_LATENCY
 from repro.sim.parallel import JobOutcome, MatrixResult, execute_jobs, run_matrix
 from repro.sim.profiling import TraceProfile
@@ -10,7 +10,7 @@ from repro.sim.stats import L2Stats, RunResult, geomean, mean
 
 __all__ = [
     "FunctionalReplay",
-    "Frontend",
+    "CompletionWindow",
     "GPUSimulator",
     "L2_HIT_LATENCY",
     "JobOutcome",

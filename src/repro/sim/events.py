@@ -1,22 +1,29 @@
-"""The event queue of the batched execution core.
+"""The SM frontend's issue window: the event queue of the run loop.
+
+GPUs hide memory latency with massive memory-level parallelism, but
+the parallelism is finite (MSHRs, warps in flight).  The frontend
+models it as a sliding window: an access may not issue until (a) its
+program-order issue slot ``seq * gap`` arrives — the compute-rate
+calibration — and (b) a window slot is free.  Added memory latency
+(e.g. a decrypt-blocking counter fetch) therefore throttles issue
+exactly the way Little's law says it should.
 
 The simulator's timing model is *analytic*: every component answers
 "when does this finish?" with arithmetic, so there is no cycle loop to
-tick.  The only genuinely sequential state is the frontend's bounded
-window of outstanding completions — and that window is exactly a
-min-heap of completion times, i.e. an event queue.  When the window is
-full, the clock jumps directly to the next completion event
-(``heappop``) instead of ever visiting the idle cycles in between;
-that is the event-driven "idle-cycle skipping" of this core.
+tick.  The only genuinely sequential state is that bounded window of
+outstanding completions — and the window is exactly a min-heap of
+completion times, i.e. an event queue.  When the window is full, the
+clock jumps directly to the next completion event (``heappop``)
+instead of ever visiting the idle cycles in between; that is the
+event-driven "idle-cycle skipping" of the run loop.
 
 :class:`CompletionWindow` holds that queue with **public** slots so the
 fused batch loop in :meth:`repro.sim.pipeline.MemoryPipeline.run_batch`
 can hoist them into locals, run a whole kernel batch, and write the
 state back.  Its method forms (:meth:`issue` / :meth:`complete` /
-:meth:`drain`) are bit-identical to the legacy
-:class:`repro.sim.frontend.Frontend` — same float operations in the
-same order — which is what keeps the golden oracle byte-stable across
-cores (``tests/sim/test_events.py`` pins the equivalence).
+:meth:`drain`) drive the same machine one access at a time — same
+float operations in the same order — which is how the per-access
+reference drive of the tests reproduces the batch loop bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import List
 class CompletionWindow:
     """Bounded window of outstanding completions (the event queue).
 
-    Invariants shared with the legacy frontend:
+    Invariants:
 
     * access ``i`` may not issue before its program-order slot
       ``i * gap`` (the compute-rate floor);
@@ -40,7 +47,7 @@ class CompletionWindow:
     """
 
     __slots__ = ("max_inflight", "gap", "inflight", "seq", "stall_cycles",
-                 "last_stall", "last_issue", "last_completion")
+                 "last_issue", "last_completion")
 
     def __init__(self, max_inflight: int, gap: float) -> None:
         if max_inflight <= 0:
@@ -54,25 +61,18 @@ class CompletionWindow:
         self.inflight: List[float] = []
         self.seq = 0
         self.stall_cycles = 0.0
-        #: Stall length of the most recent issue (0.0 when it issued
-        #: on time) — read by the observability layer for stall spans.
-        self.last_stall = 0.0
         self.last_issue = 0.0
         self.last_completion = 0.0
 
     def issue(self) -> float:
         """Cycle at which the next access issues."""
-        ready = self.seq * self.gap
+        issue = self.seq * self.gap
         self.seq += 1
-        issue = ready
-        stall = 0.0
         if len(self.inflight) >= self.max_inflight:
             freed = heapq.heappop(self.inflight)
             if freed > issue:
-                stall = freed - issue
-                self.stall_cycles += stall
+                self.stall_cycles += freed - issue
                 issue = freed
-        self.last_stall = stall
         self.last_issue = issue
         return issue
 

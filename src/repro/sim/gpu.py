@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.address import AddressMapper
-from repro.common.config import CORE_EVENT, VALID_CORES, SimConfig
+from repro.common.config import SimConfig
 from repro.common.types import PredictionStats
 from repro.core.mee import MemoryEncryptionEngine, TruthProvider
 from repro.core.victim import VictimController
@@ -32,8 +32,7 @@ from repro.memory.sched import build_scheduler
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.sim.events import CompletionWindow
-from repro.sim.frontend import Frontend, iter_batches
-from repro.sim.pipeline import L2_HIT_LATENCY, MemoryPipeline, ObserverHooks
+from repro.sim.pipeline import L2_HIT_LATENCY, MemoryPipeline
 from repro.sim.stats import LatencyStats, RunResult
 from repro.workloads.base import HostEvent, Workload
 
@@ -55,8 +54,8 @@ class GPUSimulator:
         self.scheme = config.scheme
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._observe = self.obs.enabled
-        # Decision ledger (decision-granularity provenance): unlike an
-        # observer it does NOT force the legacy core — see run().
+        # Decision ledger (decision-granularity provenance): its taps
+        # fire inside the MEE's decision sites.
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         gpu = config.gpu
         if self.ledger.enabled:
@@ -94,10 +93,9 @@ class GPUSimulator:
                     self.victims.append(victim)
                 self.mees.append(mee)
 
-        hooks = ObserverHooks(self.obs) if self._observe else None
         self.pipeline = MemoryPipeline(
             config, self.mapper, self.channels, self.l2, self.mees,
-            hooks=hooks, record_stream=record_stream,
+            observer=self.obs, record_stream=record_stream,
         )
         self._latency = LatencyStats()
 
@@ -124,58 +122,14 @@ class GPUSimulator:
         and is usually left at its near-zero default — the paper's
         suite is memory bound.
 
-        Dispatches on ``SimConfig.core``: the event core runs kernels
-        as batches through :meth:`MemoryPipeline.run_batch` (bit-
-        identical results, several times faster); the legacy per-
-        access loop remains for ``core="legacy"`` and for observed
-        runs, whose hook/event stream is defined access by access.
-        A decision ledger does *not* force the fallback — its taps
-        fire at decision granularity on both cores.
+        Each kernel's accesses run as one batch through
+        :meth:`MemoryPipeline.run_batch`.  Kernels are the batch
+        boundary because host events and detector/victim updates happen
+        between them; composed suites merge ``barrier: false`` phases
+        into their kernel, so no mid-kernel marker splits a batch.
         """
-        core = self.config.core
-        if core not in VALID_CORES:
-            raise ValueError(
-                f"unknown execution core {core!r}; expected one of "
-                f"{VALID_CORES} (check SimConfig.core / REPRO_CORE)"
-            )
-        window = max_inflight or self.config.gpu.max_inflight_requests
-        if core == CORE_EVENT and not self._observe:
-            return self._run_event(workload, gap, window)
-        return self._run_legacy(workload, gap, window)
-
-    def _run_event(self, workload: Workload, gap: float,
-                   window_size: int) -> RunResult:
-        """The batched event-driven run loop: per kernel, translate +
-        classify the whole batch, then advance the completion-window
-        event queue access by access with no per-access Python call
-        layers (see :meth:`MemoryPipeline.run_batch`)."""
-        window = CompletionWindow(window_size, gap)
-        pipeline = self.pipeline
-        if self.mees:
-            for event in workload.init_copies():
-                self._host_copy(event, at_init=True)
-
-        latency = self._latency
-        for kernel_idx, kernel in iter_batches(workload):
-            pipeline.kernel_idx = kernel_idx
-            self._kernel_boundary(kernel_idx, kernel.host_events,
-                                  window.last_issue)
-            pipeline.run_batch(window, kernel.accesses, latency)
-
-        end = pipeline.final_flush(window.drain())
-        cycles = max(
-            end,
-            max((ch.next_free + ch.latency for ch in self.channels
-                 if ch.stats.requests), default=0.0),
-        )
-        return self._result(workload, cycles)
-
-    def _run_legacy(self, workload: Workload, gap: float,
-                    window_size: int) -> RunResult:
-        """The per-access run loop (``core="legacy"`` and every
-        observed run: the observer vocabulary — stall spans, per-
-        request lifecycle hooks — is defined at access granularity)."""
-        frontend = Frontend(window_size, gap)
+        window = CompletionWindow(
+            max_inflight or self.config.gpu.max_inflight_requests, gap)
         pipeline = self.pipeline
         observe = self._observe
         if observe:
@@ -188,34 +142,15 @@ class GPUSimulator:
             for event in workload.init_copies():
                 self._host_copy(event, at_init=True)
 
-        prev_issue = 0.0
         for kernel_idx, kernel in enumerate(workload.kernels):
             pipeline.kernel_idx = kernel_idx
             self._kernel_boundary(kernel_idx, kernel.host_events,
-                                  frontend.last_issue)
+                                  window.last_issue)
             if observe:
-                self.obs.kernel(kernel_idx, frontend.last_issue)
-            for addr, is_write, nsectors in kernel.accesses:
-                issue = frontend.issue()
-                if observe:
-                    if frontend.last_stall > 0.0:
-                        # Clamp to the stall's non-overlapping portion:
-                        # with a near-zero issue gap every queued access
-                        # nominally waits from cycle ~0, but only the
-                        # advance past the previous issue is new stall.
-                        start = max(issue - frontend.last_stall, prev_issue)
-                        if issue > start:
-                            self.obs.stall(start, issue)
-                    prev_issue = issue
-                completion = pipeline.access(issue, addr, is_write,
-                                             nsectors).completion
-                if not is_write:
-                    self._latency.record(completion - issue)
-                    if observe:
-                        self.obs.read_latency(issue, completion - issue)
-                frontend.complete(completion)
+                self.obs.kernel(kernel_idx, window.last_issue)
+            pipeline.run_batch(window, kernel.accesses, self._latency)
 
-        end = pipeline.final_flush(frontend.drain())
+        end = pipeline.final_flush(window.drain())
         cycles = max(
             end,
             max((ch.next_free + ch.latency for ch in self.channels

@@ -1,24 +1,24 @@
 """The memory-request pipeline (the request layer).
 
-One typed :class:`MemoryRequest` walks the lifecycle the paper
-studies — issued → L2 → metadata (MEE) → DRAM → complete — through a
-:class:`MemoryPipeline` that owns the L2 partitions, the per-partition
-MEEs and the DRAM channels.  :class:`~repro.sim.gpu.GPUSimulator`
-shrinks to wiring (construct the components, drive the frontend) plus
-result assembly; the float plumbing that used to be hand-rolled across
-``_access``/``_writeback``/``_schedule`` lives here, and observability
-attaches through :class:`PipelineHooks` at the lifecycle transitions
-instead of being inlined at each call site.
+A :class:`MemoryPipeline` owns the L2 partitions, the per-partition
+MEEs and the DRAM channels, and walks every access through the
+lifecycle the paper studies — issued → L2 → metadata (MEE) → DRAM →
+complete.  :meth:`MemoryPipeline.run_batch` is the run loop: it takes
+one kernel's accesses through the issue window in a single fused pass.
+:meth:`MemoryPipeline.access` is the same lifecycle for one access, the
+straight-line reference the batch loop is tested against.  An attached
+observer is called directly at the lifecycle transitions, as the
+channels, L2 banks and MEEs call it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.memory.mshr import MSHRFile
     from repro.sim.events import CompletionWindow
     from repro.sim.stats import LatencyStats
 
@@ -26,10 +26,11 @@ from repro.common import constants
 from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.common.types import TrafficCounters
-from repro.core.mee import DRAMRequest, MEEResult, MemoryEncryptionEngine
+from repro.core.mee import MEEResult, MemoryEncryptionEngine
 from repro.memory.cache import Eviction
 from repro.memory.dram import DRAMChannel
 from repro.memory.l2 import SAMPLE_STRIDE, PartitionL2
+from repro.obs.observer import NULL_OBSERVER
 from repro.sim.stats import L2Stats
 
 #: Completion latency of an L2 hit (core <-> L2 round trip).
@@ -63,111 +64,6 @@ def register_traffic_kind(kind: str, counter_attr: str) -> None:
     TRAFFIC_KIND_COUNTERS[kind] = counter_attr
 
 
-class Stage(Enum):
-    """Lifecycle position of one memory request."""
-
-    ISSUED = "issued"
-    L2 = "l2"
-    METADATA = "metadata"
-    DRAM = "dram"
-    COMPLETE = "complete"
-
-
-class MemoryRequest:
-    """One warp memory access moving through the pipeline.
-
-    A ``__slots__`` class rather than a dataclass: one instance is
-    created per simulated access, so instance-dict allocation is pure
-    hot-path overhead.
-
-    Fields beyond the constructor arguments:
-
-    * ``stage`` — lifecycle position (:class:`Stage`);
-    * ``partition`` — home partition (set once the address is mapped);
-    * ``l2_miss`` — did the L2 lookup miss (any sector need a fetch)?
-    * ``completion`` — completion cycle (valid once COMPLETE);
-    * ``ctr_done`` — cycle the decrypt-critical counter fetch (if any)
-      resolved;
-    * ``fetch_sectors`` — sectors of the line that needed a DRAM fetch.
-    """
-
-    __slots__ = ("issue", "address", "is_write", "nsectors", "stage",
-                 "partition", "l2_miss", "completion", "ctr_done",
-                 "fetch_sectors")
-
-    def __init__(self, issue: float, address: int, is_write: bool,
-                 nsectors: int) -> None:
-        self.issue = issue
-        self.address = address
-        self.is_write = is_write
-        self.nsectors = nsectors
-        self.stage = Stage.ISSUED
-        self.partition = -1
-        self.l2_miss = False
-        self.completion = 0.0
-        self.ctr_done = 0.0
-        self.fetch_sectors: List[int] = _NO_SECTORS
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoryRequest(issue={self.issue}, address={self.address}, "
-            f"is_write={self.is_write}, nsectors={self.nsectors}, "
-            f"stage={self.stage}, completion={self.completion})"
-        )
-
-
-#: Shared empty fetch list for requests that never miss.  Treated as
-#: immutable — the pipeline replaces it, never appends to it.
-_NO_SECTORS: List[int] = []
-
-
-class PipelineHooks:
-    """No-op lifecycle hooks.  Subclass and attach to a pipeline to
-    observe transitions; :class:`ObserverHooks` adapts them onto the
-    :class:`repro.obs.observer.Observer` event vocabulary."""
-
-    enabled = False
-
-    def l2_checked(self, request: MemoryRequest) -> None:
-        """A read finished its L2 lookup (``request.l2_miss`` set)."""
-
-    def metadata_request(self, issue: float, dram_request: DRAMRequest,
-                         done: float) -> None:
-        """One MEE-generated transfer was placed on its channel."""
-
-    def data_transfer(self, issue: float, partition: int, size: int,
-                      is_write: bool) -> None:
-        """A demand data transfer was placed on its channel."""
-
-    def completed(self, request: MemoryRequest) -> None:
-        """The request reached COMPLETE."""
-
-
-class ObserverHooks(PipelineHooks):
-    """Adapts lifecycle transitions to the observer event stream."""
-
-    enabled = True
-
-    def __init__(self, obs) -> None:
-        self.obs = obs
-
-    def l2_checked(self, request: MemoryRequest) -> None:
-        self.obs.l2_access(request.issue, request.partition,
-                           miss=request.l2_miss)
-
-    def metadata_request(self, issue: float, dram_request: DRAMRequest,
-                         done: float) -> None:
-        self.obs.traffic(issue, dram_request.partition, dram_request.kind,
-                         dram_request.size, dram_request.is_write)
-        self.obs.mee_op(dram_request.partition, dram_request.kind,
-                        dram_request.is_write, issue, done,
-                        critical=dram_request.critical)
-
-    def data_transfer(self, issue: float, partition: int, size: int,
-                      is_write: bool) -> None:
-        self.obs.traffic(issue, partition, "data", size, is_write)
-
-
 class MemoryPipeline:
     """L2 → MEE → DRAM for one simulation instance.
 
@@ -183,7 +79,7 @@ class MemoryPipeline:
         channels: List[DRAMChannel],
         l2: List[PartitionL2],
         mees: List[MemoryEncryptionEngine],
-        hooks: Optional[PipelineHooks] = None,
+        observer=None,
         record_stream: bool = False,
     ) -> None:
         self.config = config
@@ -191,8 +87,8 @@ class MemoryPipeline:
         self.channels = channels
         self.l2 = l2
         self.mees = mees
-        self.hooks = hooks if hooks is not None else PipelineHooks()
-        self._observe = self.hooks.enabled
+        self.obs = observer if observer is not None else NULL_OBSERVER
+        self._observe = self.obs.enabled
         self.record_stream = record_stream
         self.streams: Dict[int, List[Tuple[int, bool, int]]] = {
             p: [] for p in range(config.gpu.num_partitions)
@@ -225,32 +121,28 @@ class MemoryPipeline:
     # ------------------------------------------------------------------
 
     def access(self, issue: float, addr: int, is_write: bool,
-               nsectors: int) -> MemoryRequest:
-        """Run one access through the full lifecycle; the returned
-        request carries its completion cycle."""
-        if self._direct_meta and self._observe:
-            # Hooks were attached after construction: disarm direct
-            # emission so the metadata_request stream they observe is
-            # the complete materialised one.
-            for mee in self.mees:
-                mee.detach_direct()
-            self._direct_meta = False
-        request = MemoryRequest(issue, addr, is_write, nsectors)
+               nsectors: int) -> float:
+        """Run one access through the full lifecycle; returns its
+        completion cycle.
+
+        The per-access reference of :meth:`run_batch`: the address is
+        mapped afresh and every read goes through the L2 bank's lookup,
+        with no translation memo and no inlined hit path.
+        """
         line_addr = addr - addr % constants.BLOCK_SIZE
         line_key = line_addr // constants.BLOCK_SIZE
         local = self.mapper.to_local(line_addr)
-        partition = request.partition = local.partition
+        partition = local.partition
         bank = self.l2[partition].bank_for(line_key)
         first_sector = (addr % constants.BLOCK_SIZE) // constants.SECTOR_SIZE
         last_sector = min(first_sector + nsectors, constants.SECTORS_PER_BLOCK)
 
         self.l2_stats.accesses += 1
-        request.stage = Stage.L2
+        completion = issue + L2_HIT_LATENCY
         if is_write:
             # Stores allocate without fetching (full-sector writes).
             # They occupy a frontend slot briefly (store buffer); a
             # displaced dirty line's write-back backpressures them.
-            completion = issue + L2_HIT_LATENCY
             if bank.cache.has_line(line_key):
                 # Resident line: no eviction is possible, so the whole
                 # sector loop collapses to one bulk mask update.
@@ -269,84 +161,83 @@ class MemoryPipeline:
                     if result.eviction is not None and result.eviction.dirty_sectors:
                         wb_done = self.writeback(issue, result.eviction)
                         completion = max(completion, wb_done)
-            return self._complete(request, completion)
+            return completion
 
-        completion = issue + L2_HIT_LATENCY
         merged_done, fetch_sectors, eviction = bank.access_data_range(
             line_key, first_sector, last_sector, issue
         )
         if merged_done > completion:
             completion = merged_done
-
-        if fetch_sectors is not None:
-            request.fetch_sectors = fetch_sectors
-            request.l2_miss = True
         if self._observe:
-            self.hooks.l2_checked(request)
+            self.obs.l2_access(issue, partition, fetch_sectors is not None)
         if fetch_sectors is not None:
-            self.l2_stats.misses += 1
-            ctr_done = 0.0
-            if self.mees:
-                request.stage = Stage.METADATA
-                if self._direct_meta:
-                    ctr_done = self.mees[partition].on_read_miss_direct(
-                        issue, line_addr, local.offset
-                    )
-                else:
-                    ctr_done = self._read_miss_meta(
-                        issue, partition, line_addr, local.offset
-                    )
-                if ctr_done:
-                    # Pad generation (AES) starts when the counter
-                    # arrives; decryption cannot complete before it.
-                    ctr_done += self.config.gpu.hash_latency
-            request.ctr_done = ctr_done
-            request.stage = Stage.DRAM
-            size = len(fetch_sectors) * constants.SECTOR_SIZE
-            data_done = self.channels[partition].service(
-                issue, size, address=line_addr
-            )
-            self.traffic.data_bytes += size
-            if self._observe:
-                self.hooks.data_transfer(issue, partition, size, False)
-            done = max(data_done, ctr_done)
-            for sector in fetch_sectors:
-                bank.register_fill(line_key, sector, done, issue)
+            done = self._read_miss(issue, partition, line_addr, line_key,
+                                   local.offset, fetch_sectors, bank.mshr)
             completion = max(completion, done)
-            if self.record_stream:
-                self.streams[partition].append(
-                    (local.offset, False, self.kernel_idx)
-                )
-
         if eviction is not None and eviction.dirty_sectors:
             self.writeback(issue, eviction)
-        return self._complete(request, completion)
+        return completion
 
-    def _read_miss_meta(self, issue: float, partition: int, line_addr: int,
-                        local_offset: int) -> float:
-        """The MEE walk of a read miss on the materialised path (both
-        cores): schedule its transfers, then send the dirty data lines
-        its victim insertions displaced from the L2 through the secure
-        write path.  Returns the decrypt-critical completion cycle."""
-        mee_result = self.mees[partition].on_read_miss(
-            issue, line_addr, local_offset
-        )
-        ctr_done, _ = self.schedule(issue, mee_result)
-        for disp in mee_result.displaced_data:
-            self.writeback(issue, Eviction(
-                key=disp.line_key,
-                dirty_sectors=disp.dirty_sectors,
-                valid_sectors=disp.dirty_sectors,
-            ))
-        return ctr_done
-
-    def _complete(self, request: MemoryRequest,
-                  completion: float) -> MemoryRequest:
-        request.stage = Stage.COMPLETE
-        request.completion = completion
+    def _read_miss(self, issue: float, partition: int, line_addr: int,
+                   line_key: int, local_offset: int,
+                   fetch_sectors: List[int], mshr: "MSHRFile") -> float:
+        """One L2 read miss (both :meth:`access` and :meth:`run_batch`):
+        the MEE metadata walk, the demand DRAM fetch and the MSHR fill
+        burst.  Returns the cycle the decrypted data is ready."""
+        self.l2_stats.misses += 1
+        ctr_done = 0.0
+        if self.mees:
+            mee = self.mees[partition]
+            if self._direct_meta:
+                ctr_done = mee.on_read_miss_direct(issue, line_addr,
+                                                   local_offset)
+            else:
+                mee_result = mee.on_read_miss(issue, line_addr, local_offset)
+                ctr_done, _ = self.schedule(issue, mee_result)
+                # Victim insertions of the walk can displace dirty data
+                # lines from the L2; they leave by the secure write path.
+                for disp in mee_result.displaced_data:
+                    self.writeback(issue, Eviction(
+                        key=disp.line_key,
+                        dirty_sectors=disp.dirty_sectors,
+                        valid_sectors=disp.dirty_sectors,
+                    ))
+            if ctr_done:
+                # Pad generation (AES) starts when the counter arrives;
+                # decryption cannot complete before it.
+                ctr_done += self._hash_latency
+        size = len(fetch_sectors) * constants.SECTOR_SIZE
+        channel = self.channels[partition]
+        if channel.fifo_fast:
+            # DRAMChannel.occupy, inlined (fifo_fast is off on observed
+            # channels, so no dram event can be owed).
+            start = channel._next_free
+            if issue > start:
+                start = issue
+            occupancy = (channel.request_overhead
+                         + size / channel.bytes_per_cycle)
+            if channel._last_was_write:
+                occupancy += channel.turnaround
+                channel._last_was_write = False
+            next_free = start + occupancy
+            channel._next_free = next_free
+            ch_stats = channel.stats
+            ch_stats.requests += 1
+            ch_stats.busy_cycles += occupancy
+            ch_stats.read_bytes += size
+            data_done = next_free + channel.latency
+        else:
+            data_done = channel.service(issue, size, address=line_addr)
+        self.traffic.data_bytes += size
         if self._observe:
-            self.hooks.completed(request)
-        return request
+            self.obs.traffic(issue, partition, "data", size, False)
+        done = data_done if data_done >= ctr_done else ctr_done
+        mshr.allocate_burst(line_key, fetch_sectors, done, issue)
+        if self.record_stream:
+            self.streams[partition].append(
+                (local_offset, False, self.kernel_idx)
+            )
+        return done
 
     # ------------------------------------------------------------------
     # Batch core (the event-driven execution path)
@@ -411,23 +302,19 @@ class MemoryPipeline:
 
     def run_batch(self, window: "CompletionWindow", accesses,
                   latency: "LatencyStats") -> None:
-        """Run one kernel batch through the full lifecycle (the event
-        core's fused loop).
+        """Run one kernel batch through the full lifecycle (the run
+        loop, observed or not).
 
         Semantically this is exactly ``for each access: window.issue()
         -> self.access(...) -> latency.record -> window.complete()``,
         with the window state, the L2 fast paths and the latency
         accumulators hoisted into locals; every float operation happens
-        in the same order as the legacy per-access path, so results
-        are bit-identical (the golden oracle runs on this core).  The
-        read-miss block is inlined from :meth:`access` operation for
-        operation; store allocation drops into :meth:`_store_alloc`,
-        which mirrors it too.  Hooks are not consulted — the simulator routes observed
-        runs through the legacy core, where the per-request
-        :class:`PipelineHooks` stream is emitted unchanged.  Decision
-        ledger taps (:mod:`repro.obs.decisions`) are the exception:
-        they live inside the MEE's decision sites, fire on this fused
-        path too, and therefore never force the fallback.
+        in the same order as that per-access drive, so results are
+        bit-identical.  A read miss goes through :meth:`_read_miss`,
+        the helper :meth:`access` uses; store allocation drops into
+        :meth:`_store_alloc`.  An attached observer sees a stall span
+        whenever the full window delays an issue, then, per read, its
+        L2 lookup, its demand transfer and its latency.
         """
         if not accesses:
             return
@@ -438,7 +325,6 @@ class MemoryPipeline:
         gap = window.gap
         seq = window.seq
         stall_cycles = window.stall_cycles
-        last_stall = window.last_stall
         last_completion = window.last_completion
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -446,20 +332,12 @@ class MemoryPipeline:
         hit_latency = L2_HIT_LATENCY
         store_alloc = self._store_alloc
         writeback = self.writeback
-        read_miss_meta = self._read_miss_meta
-        mees = self.mees
-        channels = self.channels
-        traffic = self.traffic
-        l2_stats = self.l2_stats
-        streams = self.streams
-        record_stream = self.record_stream
-        kernel_idx = self.kernel_idx
-        hash_latency = self._hash_latency
-        direct_meta = self._direct_meta
-        sector_size = constants.SECTOR_SIZE
+        read_miss = self._read_miss
+        observe = self._observe
+        obs = self.obs
         latencies: List[float] = []
         record = latencies.append
-        l2_stats.accesses += len(translated)
+        self.l2_stats.accesses += len(translated)
         issue = window.last_issue
 
         for entry in translated:
@@ -467,15 +345,24 @@ class MemoryPipeline:
              bank, cache, first, last, n, range_mask, sampled, lines,
              mshr) = entry
             # -- issue: jump the clock to the next ready event --------
+            prev_issue = issue
             issue = seq * gap
             seq += 1
-            last_stall = 0.0
             if len(heap) >= cap:
                 freed = heappop(heap)
                 if freed > issue:
-                    last_stall = freed - issue
-                    stall_cycles += last_stall
+                    stall = freed - issue
+                    stall_cycles += stall
                     issue = freed
+                    if observe:
+                        # Only the advance past the previous issue is
+                        # new stall: with a near-zero issue gap every
+                        # queued access nominally waits from cycle ~0.
+                        start = issue - stall
+                        if start < prev_issue:
+                            start = prev_issue
+                        if issue > start:
+                            obs.stall(start, issue)
             # -- L2 ---------------------------------------------------
             completion = issue + hit_latency
             if is_write:
@@ -509,70 +396,27 @@ class MemoryPipeline:
                                     merged_done = merged
                         if merged_done > completion:
                             completion = merged_done
+                    if observe:
+                        obs.l2_access(issue, partition, False)
                 else:
                     merged_done, fetch_sectors, eviction = \
                         bank.access_data_range(line_key, first, last, issue)
                     if merged_done > completion:
                         completion = merged_done
+                    if observe:
+                        obs.l2_access(issue, partition,
+                                      fetch_sectors is not None)
                     if fetch_sectors is not None:
-                        # Read miss, inlined from the miss block of
-                        # :meth:`access`: MEE metadata walk, demand
-                        # DRAM fetch, MSHR fill burst.
-                        l2_stats.misses += 1
-                        ctr_done = 0.0
-                        if mees:
-                            if direct_meta:
-                                ctr_done = mees[partition].on_read_miss_direct(
-                                    issue, line_addr, local_offset
-                                )
-                            else:
-                                ctr_done = read_miss_meta(
-                                    issue, partition, line_addr, local_offset
-                                )
-                            if ctr_done:
-                                # Pad generation (AES) starts when the
-                                # counter arrives; decryption cannot
-                                # complete before it.
-                                ctr_done += hash_latency
-                        size = len(fetch_sectors) * sector_size
-                        channel = channels[partition]
-                        if channel.fifo_fast:
-                            # DRAMChannel.occupy, inlined (the event
-                            # core never runs observed, so no dram
-                            # event can be owed).
-                            start = channel._next_free
-                            if issue > start:
-                                start = issue
-                            occupancy = (channel.request_overhead
-                                         + size / channel.bytes_per_cycle)
-                            if channel._last_was_write:
-                                occupancy += channel.turnaround
-                                channel._last_was_write = False
-                            next_free = start + occupancy
-                            channel._next_free = next_free
-                            ch_stats = channel.stats
-                            ch_stats.requests += 1
-                            ch_stats.busy_cycles += occupancy
-                            ch_stats.read_bytes += size
-                            data_done = next_free + channel.latency
-                        else:
-                            data_done = channel.service(
-                                issue, size, address=line_addr
-                            )
-                        traffic.data_bytes += size
-                        done = (data_done if data_done >= ctr_done
-                                else ctr_done)
-                        mshr.allocate_burst(line_key, fetch_sectors,
-                                            done, issue)
+                        done = read_miss(issue, partition, line_addr,
+                                         line_key, local_offset,
+                                         fetch_sectors, mshr)
                         if completion < done:
                             completion = done
-                        if record_stream:
-                            streams[partition].append(
-                                (local_offset, False, kernel_idx)
-                            )
                     if eviction is not None and eviction.dirty_sectors:
                         writeback(issue, eviction)
                 record(completion - issue)
+                if observe:
+                    obs.read_latency(issue, completion - issue)
             # -- complete: push the completion event ------------------
             heappush(heap, completion)
             if completion > last_completion:
@@ -580,7 +424,6 @@ class MemoryPipeline:
 
         window.seq = seq
         window.stall_cycles = stall_cycles
-        window.last_stall = last_stall
         window.last_issue = issue
         window.last_completion = last_completion
         latency.record_batch(latencies)
@@ -654,7 +497,7 @@ class MemoryPipeline:
                 self.traffic.data_bytes += size
                 self.l2_stats.writebacks += 1
                 if self._observe:
-                    self.hooks.data_transfer(issue, partition, size, True)
+                    self.obs.traffic(issue, partition, "data", size, True)
                 if self.record_stream:
                     self.streams[partition].append(
                         (local_offset, True, self.kernel_idx)
@@ -704,6 +547,7 @@ class MemoryPipeline:
         traffic = self.traffic
         channels = self.channels
         observe = self._observe
+        obs = self.obs
         for req in requests:
             channel = channels[req.partition]
             if channel.fifo_fast:
@@ -741,7 +585,10 @@ class MemoryPipeline:
                 setattr(traffic, counter_attr,
                         getattr(traffic, counter_attr) + req.size)
             if observe:
-                self.hooks.metadata_request(issue, req, done)
+                obs.traffic(issue, req.partition, kind, req.size,
+                            req.is_write)
+                obs.mee_op(req.partition, kind, req.is_write, issue, done,
+                           critical=req.critical)
             if req.critical:
                 ctr_done = max(ctr_done, done)
             last_done = max(last_done, done)

@@ -1,10 +1,13 @@
-"""Shared fixtures: tiny workloads, a session-scoped runner, and
-registry hygiene."""
+"""Shared fixtures: tiny workloads, a session-scoped runner, registry
+hygiene, and the per-access reference drive of the batch loop."""
+
+import contextlib
 
 import pytest
 
 from repro.common.types import MemorySpace
 from repro.core.policies.registry import SCHEME_REGISTRY
+from repro.sim.pipeline import MemoryPipeline
 from repro.sim.runner import Runner
 from repro.workloads import patterns as pat
 from repro.workloads.base import WorkloadBuilder
@@ -24,6 +27,32 @@ def _scheme_registry_hygiene():
     yield
     SCHEME_REGISTRY.clear()
     SCHEME_REGISTRY.update(snapshot)
+
+
+def _per_access_run_batch(pipeline, window, accesses, latency):
+    """What ``MemoryPipeline.run_batch`` fuses, one access at a time."""
+    for addr, is_write, nsectors in accesses:
+        issue = window.issue()
+        completion = pipeline.access(issue, addr, is_write, nsectors)
+        if not is_write:
+            latency.record(completion - issue)
+        window.complete(completion)
+
+
+@pytest.fixture
+def reference_drive():
+    """A context manager under which every (unobserved) simulation runs
+    through :meth:`MemoryPipeline.access` one access at a time instead
+    of the fused batch loop — the reference the batch loop must match
+    byte for byte."""
+    @contextlib.contextmanager
+    def drive():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MemoryPipeline, "run_batch", _per_access_run_batch)
+            yield
+
+    return drive
+
 
 KB = 1024
 MB = 1024 * 1024

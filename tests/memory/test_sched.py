@@ -124,6 +124,16 @@ def test_critical_first_posted_estimates_grow_monotonically():
         previous = done
 
 
+def test_critical_first_posted_write_never_completes_before_it_arrives():
+    # Idle bus: the queue estimate counts from next_free (cycle 0), a
+    # whole 1000 cycles behind the write it prices.  A write posted as
+    # done before it arrived gives observers a negative MEE-op span.
+    ch = _channel(CriticalFirstScheduler(capacity=8))
+    done = ch.service(1000.0, 32, is_write=True, kind="mac")
+    assert ch.scheduler.pending_writes == 1
+    assert done >= 1000.0 + ch.latency
+
+
 def test_critical_first_gap_fit_charges_both_turnaround_flips():
     # Issuing a buffered write from read mode flips the bus twice:
     # write entry and read return.  Full cost of the 32 B write is

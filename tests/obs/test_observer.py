@@ -1,13 +1,17 @@
 """Observer integration: read-only observation, exact reconstruction,
 trace coverage and the export/validate round trip."""
 
+import hashlib
 import json
 import pickle
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.common.config import GPUConfig
+from repro.common.config import GPUConfig, SimConfig
 from repro.common.types import Scheme
+from repro.eval.results_io import serialize_run_result
 from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer
 from repro.obs.tracing import ChromeTracer
 from repro.obs.validate import (
@@ -213,3 +217,78 @@ class TestValidatorFailures:
             {"type": "meta"}, window, summary)) + "\n")
         with pytest.raises(ValidationError):
             validate_metrics(p)
+
+
+# ---------------------------------------------------------------------------
+# Pinned exports: what a fixed set of observed cells writes, byte for byte
+# ---------------------------------------------------------------------------
+
+#: ``(DRAM scheduler, workload, scheme)`` of every pinned observed cell.
+PINNED_CELLS = [
+    ("fifo", "atax", "shm"),
+    ("fifo", "bfs", "naive"),
+    ("fifo", "bfs", "pssm"),
+    ("fifo", "mri-gridding", "shm_vl2"),
+    ("fifo", "backprop", "shm_bandit"),
+    ("fifo", "lbm", "pssm_learned"),
+    ("critical_first", "bfs", "shm"),
+    ("banked", "bfs", "shm"),
+]
+PINNED_SCALE = 0.05
+PINNED_WINDOW_CYCLES = 2000.0
+#: Cell -> sha256 of its metrics JSONL, Chrome trace and serialised
+#: ``RunResult``.
+PINNED_DIGESTS = Path(__file__).with_name("observer_exports.json")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _serialized(result) -> str:
+    return json.dumps(serialize_run_result(result), sort_keys=True)
+
+
+def _pinned_cell(scheduler: str, workload: str, scheme: str, tmp: Path):
+    """Run one pinned cell observed, then unobserved on the same
+    calibration.  Returns the observed run's export digests and both
+    serialised results."""
+    config = SimConfig()
+    config = replace(config, gpu=replace(config.gpu,
+                                         dram_scheduler=scheduler))
+    observer = Observer(tracer=ChromeTracer(),
+                        window_cycles=PINNED_WINDOW_CYCLES)
+    runner = Runner(config=config, scale=PINNED_SCALE, observer=observer)
+    observed = _serialized(runner.run(workload, scheme))
+    metrics, trace = tmp / "metrics.jsonl", tmp / "trace.json"
+    observer.write_metrics(metrics)
+    observer.write_trace(trace)
+    digests = {
+        "metrics": _sha256(metrics.read_bytes()),
+        "trace": _sha256(trace.read_bytes()),
+        "result": _sha256(observed.encode()),
+    }
+    runner.observer = NULL_OBSERVER
+    return digests, observed, _serialized(runner.run(workload, scheme))
+
+
+@pytest.fixture(scope="module")
+def pinned_exports(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pinned")
+    return {f"{scheduler}/{workload}/{scheme}":
+            _pinned_cell(scheduler, workload, scheme, tmp)
+            for scheduler, workload, scheme in PINNED_CELLS}
+
+
+class TestPinnedExports:
+    def test_exports_match_the_pinned_digests(self, pinned_exports):
+        digests = {cell: run[0] for cell, run in pinned_exports.items()}
+        pinned = json.loads(PINNED_DIGESTS.read_text())
+        assert digests == pinned, (
+            "observer exports changed; new digests:\n"
+            + json.dumps(digests, indent=2, sort_keys=True))
+
+    def test_observation_leaves_every_pinned_result_unchanged(
+            self, pinned_exports):
+        for cell, (_, observed, unobserved) in pinned_exports.items():
+            assert observed == unobserved, cell

@@ -26,9 +26,8 @@ from repro.sim.runner import Runner
 
 class TestFold:
     @pytest.mark.parametrize("module, function, layer", [
-        ("repro.sim.gpu", "_run_event", "frontend"),
+        ("repro.sim.gpu", "run", "frontend"),
         ("repro.sim.events", "drain", "frontend"),
-        ("repro.sim.frontend", "iter_batches", "frontend"),
         ("repro.sim.pipeline", "translate_batch", "translate"),
         ("repro.sim.pipeline", "run_batch", "pipeline"),
         ("repro.sim.pipeline", "writeback", "pipeline"),
@@ -188,9 +187,9 @@ class TestSnapshotShape:
 
 @pytest.fixture(scope="module")
 def profiled(tmp_path_factory):
-    """One ``repro inspect --host-profile`` run on the default (event)
-    core with a spy on its batch loop recording, per call, whether the
-    sampler was armed and the state of every MEE fast-path flag."""
+    """One ``repro inspect --host-profile`` run with a spy on its batch
+    loop recording, per call, whether the sampler was armed and the
+    state of every MEE fast-path flag."""
     path = tmp_path_factory.mktemp("hostprof") / "host-profile.json"
     calls = []
     original = MemoryPipeline.run_batch
@@ -207,7 +206,6 @@ def profiled(tmp_path_factory):
         return original(pipeline, window, accesses, latency)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("REPRO_CORE", raising=False)
         mp.setattr(MemoryPipeline, "run_batch", spy)
         assert main(["inspect", "--host-profile", "--workload", "atax",
                      "--scheme", *SCHEMES, "--scale", "0.05",

@@ -11,6 +11,7 @@ Two layers of defence:
   to the same cost.
 """
 
+import gc
 from time import perf_counter
 
 from repro.common.types import Scheme
@@ -41,7 +42,13 @@ class TestTimingRatio:
         construction orders and takes the geometric mean of the two
         min-of-N ratios: the order bias multiplies one ratio and
         divides the other and so cancels, while a genuine null-path
-        slowdown would survive in both and trip the bound."""
+        slowdown would survive in both and trip the bound.
+
+        Every sample starts from a collected heap.  Each run promotes
+        enough objects that a full (generation-2) collection falls due
+        every second run, and since the two variants alternate, that
+        40-70 ms pause otherwise lands on the same variant every time
+        — in either construction order — and decides the ratio."""
         workload = build_tiny_streaming()
 
         def make_runner(explicit_nulls: bool) -> Runner:
@@ -53,6 +60,7 @@ class TestTimingRatio:
 
         def sample(runner: Runner) -> float:
             runner.clear_results()
+            gc.collect()
             start = perf_counter()
             runner.run(workload.name, Scheme.PSSM)
             return perf_counter() - start

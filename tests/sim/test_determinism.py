@@ -163,28 +163,28 @@ class TestTelemetryDeterminism:
 
 # ---------------------------------------------------------------------------
 # Decision-ledger determinism: the canonical JSONL export must be
-# byte-identical across execution cores, across the serial and pool
-# campaign paths, and across hash seeds — it is the provenance record
-# campaign cells carry into the telemetry store.
+# byte-identical between the batch loop and the per-access reference
+# drive, across the serial and pool campaign paths, and across hash
+# seeds — it is the provenance record campaign cells carry into the
+# telemetry store.
 # ---------------------------------------------------------------------------
 
 class TestDecisionLedgerDeterminism:
-    def test_export_identical_across_cores(self, tmp_path):
-        from dataclasses import replace
-
+    def test_export_identical_across_cores(self, tmp_path, reference_drive):
         from repro.obs.decisions import DecisionLedger
 
-        exports = []
-        for core in ("event", "legacy"):
+        def export(path):
             ledger = DecisionLedger()
-            runner = Runner(config=replace(SimConfig(), core=core),
-                            scale=SCALE, ledger=ledger)
+            runner = Runner(scale=SCALE, ledger=ledger)
             for workload, scheme in CASES:
                 runner.run(workload, scheme)
-            path = tmp_path / f"{core}.jsonl"
             ledger.write_jsonl(path)
-            exports.append(path.read_bytes())
-        assert exports[0] == exports[1]
+            return path.read_bytes()
+
+        batch = export(tmp_path / "batch.jsonl")
+        with reference_drive():
+            reference = export(tmp_path / "reference.jsonl")
+        assert batch == reference
 
     def test_serial_and_pool_cell_decisions_agree(self):
         from dataclasses import replace as dc_replace
@@ -233,8 +233,9 @@ class TestDecisionLedgerDeterminism:
 # Learned-policy determinism: the learned schemes train on plain
 # floats and draw exploration from crc32 — no ``random`` state, no
 # ``hash()`` — so their runs (and provenance exports) must be
-# byte-identical across execution cores, the serial and pool campaign
-# paths, and hash seeds.  backprop concentrates traffic on few enough
+# byte-identical between the batch loop and the per-access reference
+# drive, across the serial and pool campaign paths, and across hash
+# seeds.  backprop concentrates traffic on few enough
 # regions that the bandit's epochs actually close at this scale.
 # ---------------------------------------------------------------------------
 
@@ -244,21 +245,20 @@ LEARNED_CASES = [("backprop", "pssm_learned"), ("backprop", "shm_bandit")]
 class TestLearnedPolicyDeterminism:
     @pytest.mark.parametrize("workload,scheme", LEARNED_CASES)
     def test_export_identical_across_cores(self, workload, scheme,
-                                           tmp_path):
-        from dataclasses import replace
-
+                                           tmp_path, reference_drive):
         from repro.obs.decisions import DecisionLedger
 
-        exports = []
-        for core in ("event", "legacy"):
+        def export(path):
             ledger = DecisionLedger()
-            runner = Runner(config=replace(SimConfig(), core=core),
-                            scale=SCALE, ledger=ledger)
+            runner = Runner(scale=SCALE, ledger=ledger)
             result = serialize_run_result(runner.run(workload, scheme))
-            path = tmp_path / f"{core}.jsonl"
             ledger.write_jsonl(path)
-            exports.append((result, path.read_bytes()))
-        assert exports[0] == exports[1]
+            return result, path.read_bytes()
+
+        batch = export(tmp_path / "batch.jsonl")
+        with reference_drive():
+            reference = export(tmp_path / "reference.jsonl")
+        assert batch == reference
 
     @pytest.mark.parametrize("workload,scheme", LEARNED_CASES)
     def test_serial_and_pool_cells_agree(self, workload, scheme):

@@ -1,11 +1,11 @@
-"""The event queue of the batched core (:mod:`repro.sim.events`).
+"""The event queue of the run loop (:mod:`repro.sim.events`).
 
-:class:`CompletionWindow` is the only sequential state the event core
+:class:`CompletionWindow` is the only sequential state the batch loop
 carries between accesses, so its arithmetic *is* the idle-cycle
 skipping contract: these tests pin the window/issue/stall semantics —
 including the ``freed == ready`` horizon edge where a completion lands
-exactly on an access's program-order slot — and the bit-level identity
-with the legacy :class:`repro.sim.frontend.Frontend`.
+exactly on an access's program-order slot — against a straight-line
+reference model.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.sim.events import CompletionWindow
-from repro.sim.frontend import Frontend, iter_batches
 
 
 class _ReferenceWindow:
@@ -92,7 +91,6 @@ def test_completion_exactly_at_the_ready_slot_is_zero_stall():
     second = window.issue()
     assert second == 10.0
     assert window.stall_cycles == 0.0
-    assert window.last_stall == 0.0
 
 
 def test_drain_covers_late_issue_without_completion():
@@ -137,34 +135,3 @@ def test_window_matches_the_reference_model(max_inflight, gap):
         reference.complete(want + latency)
     assert window.drain() == reference.drain()
     assert window.stall_cycles == reference.stall_cycles
-
-
-def test_frontend_is_the_event_queue_bit_for_bit():
-    # The legacy frontend must be the *same machine*: same state slots
-    # after identical stimulus, not merely similar behaviour.
-    rng = random.Random(7)
-    front = Frontend(max_inflight=4, gap=1.5)
-    window = CompletionWindow(max_inflight=4, gap=1.5)
-    for _ in range(300):
-        assert front.issue() == window.issue()
-        latency = rng.uniform(0.0, 25.0)
-        front.complete(front.last_issue + latency)
-        window.complete(window.last_issue + latency)
-    assert front.inflight == window.inflight
-    assert front.stall_cycles == window.stall_cycles
-    assert front.drain() == window.drain()
-
-
-def test_iter_batches_yields_kernels_in_program_order():
-    from repro.workloads.base import Kernel, Workload
-
-    kernels = [Kernel("k0", [(0, False, 4)]),
-               Kernel("empty", []),
-               Kernel("k2", [(128, True, 4)])]
-    workload = Workload(name="b", kernels=kernels, buffers=[],
-                        bandwidth_utilization=0.5)
-    batches = list(iter_batches(workload))
-    assert [idx for idx, _ in batches] == [0, 1, 2]
-    assert [k.name for _, k in batches] == ["k0", "empty", "k2"]
-    # A zero-access kernel is a legal (empty) batch, not a skip.
-    assert batches[1][1].accesses == []

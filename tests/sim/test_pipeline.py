@@ -1,8 +1,9 @@
-"""The typed request pipeline (repro.sim.pipeline): lifecycle,
-observer hooks and the teardown-flush completion fix."""
+"""The request pipeline (repro.sim.pipeline): lifecycle, observer
+hooks and the teardown-flush completion fix."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import replace
 
 import pytest
@@ -16,9 +17,6 @@ from repro.sim.pipeline import (
     L2_HIT_LATENCY,
     MemoryPipeline,
     TRAFFIC_KIND_COUNTERS,
-    MemoryRequest,
-    PipelineHooks,
-    Stage,
     register_traffic_kind,
 )
 from tests.conftest import build_tiny_random, build_tiny_streaming
@@ -37,58 +35,68 @@ def _sim(scheme=Scheme.SHM, **gpu_overrides) -> GPUSimulator:
 
 def test_read_request_walks_lifecycle():
     sim = _sim()
-    request = sim.pipeline.access(0.0, 4096, False, 4)
-    assert isinstance(request, MemoryRequest)
-    assert request.stage is Stage.COMPLETE
-    assert request.l2_miss and request.fetch_sectors
-    assert request.partition == sim.mapper.to_local(4096).partition
-    assert request.completion >= L2_HIT_LATENCY
-    # A decrypt-critical counter fetch gates the miss under SHM.
-    assert request.ctr_done > 0.0
+    pipeline = sim.pipeline
+    completion = pipeline.access(0.0, 4096, False, 4)
+    # L2: looked up and missed.
+    assert pipeline.l2_stats.accesses == 1
+    assert pipeline.l2_stats.misses == 1
+    # Metadata: under SHM the miss fetched its decrypt-critical counter.
+    assert pipeline.traffic.counter_bytes > 0
+    # DRAM: the four missed sectors came from the home partition only.
+    assert pipeline.traffic.data_bytes == 4 * constants.SECTOR_SIZE
+    home = sim.mapper.to_local(4096).partition
+    assert [p for p, ch in enumerate(sim.channels)
+            if ch.stats.requests] == [home]
+    # Complete: only once the fetch crossed the DRAM channel.
+    assert completion > sim.channels[home].latency > L2_HIT_LATENCY
 
 
 def test_l2_hit_completes_at_hit_latency():
     sim = _sim()
     sim.pipeline.access(0.0, 4096, False, 4)
-    hit = sim.pipeline.access(1000.0, 4096, False, 4)
-    assert not hit.l2_miss
-    assert hit.completion == 1000.0 + L2_HIT_LATENCY
+    assert sim.pipeline.access(1000.0, 4096, False, 4) \
+        == 1000.0 + L2_HIT_LATENCY
+    assert sim.pipeline.l2_stats.accesses == 2
+    assert sim.pipeline.l2_stats.misses == 1
 
 
 def test_write_requests_are_posted():
     sim = _sim()
-    request = sim.pipeline.access(5.0, 4096, True, 4)
-    assert request.stage is Stage.COMPLETE
-    assert request.completion == 5.0 + L2_HIT_LATENCY
+    assert sim.pipeline.access(5.0, 4096, True, 4) == 5.0 + L2_HIT_LATENCY
+    # Allocated in the L2 without a fetch: nothing reached DRAM.
+    assert sim.pipeline.l2_stats.misses == 0
+    assert sim.pipeline.traffic.total_bytes == 0
+
+
+class _Recorder:
+    """An enabled observer that records every hook call in order."""
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.events: list = []
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: self.events.append((name, args))
 
 
 def test_custom_hooks_see_lifecycle_transitions():
-    events = []
-
-    class Recorder(PipelineHooks):
-        enabled = True
-
-        def l2_checked(self, request):
-            events.append(("l2", request.l2_miss))
-
-        def metadata_request(self, issue, dram_request, done):
-            events.append(("meta", dram_request.kind))
-
-        def data_transfer(self, issue, partition, size, is_write):
-            events.append(("data", size))
-
-        def completed(self, request):
-            events.append(("done", request.stage))
-
-    sim = _sim()
-    sim.pipeline.hooks = Recorder()
-    sim.pipeline._observe = True
+    recorder = _Recorder()
+    sim = GPUSimulator(SimConfig().with_scheme(Scheme.SHM),
+                       observer=recorder)
     sim.pipeline.access(0.0, 4096, False, 4)
-    kinds = [e[0] for e in events]
-    assert kinds.count("l2") == 1 and kinds.count("done") == 1
-    assert "meta" in kinds and "data" in kinds
-    assert events[-1] == ("done", Stage.COMPLETE)
-    assert ("l2", True) in events
+    names = [name for name, _ in recorder.events]
+    assert names.count("l2_access") == 1
+    lookup = names.index("l2_access")
+    assert recorder.events[lookup][1][2] is True  # the lookup missed
+    data = [i for i, (name, args) in enumerate(recorder.events)
+            if name == "traffic" and args[2] == "data"]
+    assert len(data) == 1
+    assert recorder.events[data[0]][1][3] == 4 * constants.SECTOR_SIZE
+    # Lookup, then the MEE's metadata walk, then the demand transfer.
+    assert lookup < names.index("mee_op") < data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +215,13 @@ def test_streams_recorded_through_pipeline():
 # Victim-cache displacement on the read path
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("core", ["event", "legacy"])
-def test_read_miss_displaced_dirty_data_is_written_back(core, monkeypatch):
+@pytest.mark.parametrize("drive", ["event", "reference"])
+def test_read_miss_displaced_dirty_data_is_written_back(drive, monkeypatch,
+                                                       reference_drive):
     """Under SHM_vL2 a read miss's metadata walk can park a victim line
     in the L2 that displaces a dirty data line.  That line must reach
-    the secure write path before the next read miss, on both cores."""
+    the secure write path before the next read miss, in the batch loop
+    and in the per-access reference drive."""
     pending = []
     displaced = []
     on_read_miss = MemoryEncryptionEngine.on_read_miss
@@ -231,7 +241,9 @@ def test_read_miss_displaced_dirty_data_is_written_back(core, monkeypatch):
 
     monkeypatch.setattr(MemoryEncryptionEngine, "on_read_miss", spy_read_miss)
     monkeypatch.setattr(MemoryPipeline, "writeback", spy_writeback)
-    config = replace(SimConfig(), core=core).with_scheme(Scheme.SHM_VL2)
-    GPUSimulator(config).run(build_tiny_random(), max_inflight=64)
+    config = SimConfig().with_scheme(Scheme.SHM_VL2)
+    with (reference_drive() if drive == "reference"
+          else contextlib.nullcontext()):
+        GPUSimulator(config).run(build_tiny_random(), max_inflight=64)
     assert displaced, "the workload no longer displaces dirty data"
     assert not pending
