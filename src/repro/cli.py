@@ -607,9 +607,9 @@ def cmd_workloads(args: argparse.Namespace) -> int:
         return 0
 
     spec = _resolve_workload_spec(args.describe or args.spec)
-    print(describe(spec, scale=args.scale))
+    workload = build_workload(spec, scale=args.scale)
+    print(describe(spec, workload, scale=args.scale))
     if args.emit_trace:
-        workload = build_workload(spec, scale=args.scale)
         save_workload(workload, args.emit_trace)
         print(f"\nwrote trace to {args.emit_trace} "
               f"({workload.total_accesses:,} accesses; .gz = v2 stream)")

@@ -299,6 +299,13 @@ def _cell_worker(job: JobSpec) -> Dict[str, Any]:
     return payload
 
 
+def _workload_identity(job: JobSpec) -> str:
+    """What a cell's workload is built from besides its name."""
+    return stable_hash({"base": job.workload_base,
+                        "overrides": job.workload_overrides,
+                        "spec": job.workload_spec})
+
+
 class _SerialEvaluator:
     """Executes cells in-process against one shared runner.
 
@@ -307,13 +314,31 @@ class _SerialEvaluator:
     workload and calibration caches — the unprotected calibration does
     not depend on the varied knobs, so sharing is sound and avoids
     re-calibrating per cell.
+
+    Runners cache workloads and calibrations by name, so the first
+    workload seen under a name owns it in the shared caches.  A later
+    cell that builds a different workload under the same name (another
+    seed of a composed suite) runs on a private runner keyed by its
+    workload identity instead.
     """
 
     def __init__(self, runner: Runner) -> None:
         self.runner = runner
         self._siblings: Dict[SimConfig, Runner] = {}
+        #: workload name -> identity of the workload the shared caches
+        #: hold under it.
+        self._owners: Dict[str, str] = {}
+        #: (config, scale, workload identity) -> private runner.
+        self._private: Dict[tuple, Runner] = {}
 
     def _runner_for(self, job: JobSpec) -> Runner:
+        identity = _workload_identity(job)
+        if self._owners.setdefault(job.workload, identity) != identity:
+            key = (job.config, job.scale, identity)
+            if key not in self._private:
+                self._private[key] = Runner(config=job.config,
+                                            scale=job.scale)
+            return self._private[key]
         if job.config == self.runner.config:
             return self.runner
         if job.scale != self.runner.scale:

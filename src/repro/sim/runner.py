@@ -163,14 +163,17 @@ class Runner:
 
         observe = self.observer.enabled
         window = INITIAL_WINDOW
-        result = None
+        # Every round records the stream, so a search that settles on
+        # the window it just simulated reuses that round as the baseline.
         for round_idx in range(CALIBRATION_ROUNDS):
-            sim = GPUSimulator(recording_config)
-            result = sim.run(workload, gap=GAP_EPSILON, max_inflight=window)
-            measured = result.dram_utilization
+            recorder = GPUSimulator(recording_config, record_stream=True)
+            baseline = recorder.run(workload, gap=GAP_EPSILON,
+                                    max_inflight=window)
+            measured = baseline.dram_utilization
             if observe:
                 self.observer.calibration_round(
-                    workload.name, round_idx, window, measured, result.cycles
+                    workload.name, round_idx, window, measured,
+                    baseline.cycles
                 )
             if measured <= 0:
                 break
@@ -182,9 +185,11 @@ class Runner:
             if scaled == window:
                 break
             window = scaled
-
-        recorder = GPUSimulator(recording_config, record_stream=True)
-        baseline = recorder.run(workload, gap=GAP_EPSILON, max_inflight=window)
+        else:
+            # The rounds ran out on a window no round has simulated.
+            recorder = GPUSimulator(recording_config, record_stream=True)
+            baseline = recorder.run(workload, gap=GAP_EPSILON,
+                                    max_inflight=window)
         if observe:
             self.observer.calibration_round(
                 workload.name, CALIBRATION_ROUNDS, window,

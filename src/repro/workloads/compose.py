@@ -456,12 +456,13 @@ class Composer:
 # Introspection (repro workloads --describe)
 # ---------------------------------------------------------------------------
 
-def describe(spec: Dict[str, Any], scale: float = 1.0) -> str:
+def describe(spec: Dict[str, Any], workload: Workload,
+             scale: float = 1.0) -> str:
     """The composed phase plan as human-readable text: buffers, then
     per-phase step lists with materialised access counts and the write
-    fraction — what the spec *means* before a scheme ever runs it."""
+    fraction — what the spec *means* before a scheme ever runs it.
+    ``workload`` is ``build_workload(spec, scale)``."""
     validate_spec(spec)
-    workload = build_workload(spec, scale)
     lines = [f"suite {spec['name']!r} @ scale {scale:g}: "
              f"{len(workload.buffers)} buffers, "
              f"{len(workload.kernels)} kernels, "
@@ -469,7 +470,7 @@ def describe(spec: Dict[str, Any], scale: float = 1.0) -> str:
              f"util target {workload.bandwidth_utilization:.0%}"]
     if "tenants" in spec:
         from repro.workloads.multitenant import describe_tenants
-        lines += describe_tenants(spec, scale)
+        lines += describe_tenants(spec, workload)
     else:
         for buf in workload.buffers:
             lines.append(f"  buffer {buf.name:16s} {buf.size >> 10:8,} KB "

@@ -264,8 +264,9 @@ def build_multi_tenant(spec: Dict[str, Any], scale: float = 1.0) -> Workload:
     return builder.build()
 
 
-def describe_tenants(spec: Dict[str, Any], scale: float = 1.0) -> List[str]:
-    """Per-tenant lines for ``repro workloads --describe``."""
+def describe_tenants(spec: Dict[str, Any], workload: Workload) -> List[str]:
+    """Per-tenant lines for ``repro workloads --describe``, given the
+    spec and the workload built from it."""
     mt = dict(_MT_DEFAULTS)
     mt.update(spec.get("multi_tenant", {}))
     lines = [f"  multi-tenant: {len(spec['tenants'])} tenants, "
@@ -273,7 +274,6 @@ def describe_tenants(spec: Dict[str, Any], scale: float = 1.0) -> List[str]:
              f"{mt['slots_per_epoch']} slots, "
              f"burst {mt['burst_accesses']}, "
              f"phase churn {float(mt['phase_churn']):.0%}"]
-    workload = build_multi_tenant(spec, scale)
     slabs = {b.name: b for b in workload.buffers}
     for decl in spec["tenants"]:
         data = slabs[f"{decl['name']}/data"]

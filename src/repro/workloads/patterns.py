@@ -13,6 +13,9 @@ traces are reproducible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.common import constants
@@ -121,25 +124,26 @@ def zipfian(rng: random.Random, base: int, size: int, count: int,
     _check(base, size)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    n = size // SECTOR
-    weights = [1.0 / (k ** alpha) for k in range(1, n + 1)]
-    cumulative = []
-    total = 0.0
-    for w in weights:
-        total += w
-        cumulative.append(total)
-    out: List[Access] = []
-    for _ in range(count):
-        pick = rng.random() * total
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < pick:
-                lo = mid + 1
-            else:
-                hi = mid
-        out.append((base + lo * SECTOR, is_write, 1))
-    return out
+    cumulative = _zipf_cumulative(size // SECTOR, alpha)
+    total = cumulative[-1]
+    # random() < 1, so every pick lands at or before the last entry.
+    return [
+        (base + bisect_left(cumulative, rng.random() * total) * SECTOR,
+         is_write, 1)
+        for _ in range(count)
+    ]
+
+
+@lru_cache(maxsize=16, typed=True)
+def _zipf_cumulative(n: int, alpha: float) -> Tuple[float, ...]:
+    """Running sums of the Zipf weights ``1 / k**alpha``, k = 1..n.
+
+    Memoized: multi-tenant suites draw a few accesses per burst from
+    the same few (slab, alpha) tables thousands of times.  ``typed``
+    keeps an int ``alpha`` from sharing a float one's entry, since
+    ``k ** 2`` and ``k ** 2.0`` may round differently.
+    """
+    return tuple(accumulate(1.0 / (k ** alpha) for k in range(1, n + 1)))
 
 
 def strided_read(base: int, size: int, stride: int, count: int) -> List[Access]:

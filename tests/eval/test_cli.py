@@ -100,6 +100,23 @@ class TestWorkloadsVerb:
         assert info["format_version"] == 2
         assert info["accesses"] > 0
 
+    def test_describe_and_emit_trace_build_once(self, tmp_path,
+                                                monkeypatch, capsys):
+        from repro.workloads import multitenant
+
+        builds = []
+        real = multitenant.build_multi_tenant
+
+        def spy(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multitenant, "build_multi_tenant", spy)
+        assert main(["workloads", "--describe", "mt2", "--scale", "0.05",
+                     "--emit-trace", str(tmp_path / "t.jsonl.gz")]) == 0
+        assert "2 tenants" in capsys.readouterr().out
+        assert len(builds) == 1
+
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["workloads", "--describe", "not-a-template"])

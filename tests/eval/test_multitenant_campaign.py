@@ -16,7 +16,8 @@ from repro.eval.experiments import (
     _multitenant_jobs,
     _phase_churn_jobs,
 )
-from repro.workloads.multitenant import contention_spec
+from repro.eval.results_io import serialize_run_result
+from repro.workloads.multitenant import contention_spec, phase_churn_spec
 
 SCALE = 0.05
 
@@ -91,6 +92,36 @@ class TestExecution:
         assert pooled["result"].cycles == serial.result.cycles
         assert pooled["result"].traffic.total_bytes == \
             serial.result.traffic.total_bytes
+
+    @staticmethod
+    def assert_serial_matches_worker(jobs):
+        from repro.sim.runner import Runner
+
+        records = run_cells_serial(Runner(scale=SCALE), jobs)
+        for job, record in zip(jobs, records):
+            pooled = _cell_worker(job)
+            assert serialize_run_result(record.result) == pooled["result"]
+            assert serialize_run_result(record.baseline) == \
+                pooled["baseline"]
+        assert records[0].result.cycles != records[1].result.cycles
+
+    def test_same_name_different_spec_runs_its_own_workload(self):
+        """Two seeds of one churn suite share the name ``mt4_churn50``:
+        on one serial runner each cell must still run its own trace
+        and calibration, exactly as a pool worker does."""
+        self.assert_serial_matches_worker([
+            JobSpec(experiment="t", workload="mt4_churn50", scheme="shm",
+                    series="shm", scale=SCALE, config=SimConfig(),
+                    workload_spec=phase_churn_spec(0.5, seed=seed))
+            for seed in (2241, 2242)])
+
+    def test_same_name_different_variant_runs_its_own_workload(self):
+        self.assert_serial_matches_worker([
+            JobSpec(experiment="t", workload="atax@x", scheme="shm",
+                    series="shm", scale=SCALE, config=SimConfig(),
+                    workload_base="atax",
+                    workload_overrides={"bandwidth_utilization": util})
+            for util in (0.3, 0.8)])
 
     def test_campaign_pool_equals_serial(self, tmp_path):
         spec = EXPERIMENTS["ablation_multitenant_contention"]

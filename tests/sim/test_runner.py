@@ -3,6 +3,10 @@
 import pytest
 
 from repro.common.types import Scheme
+from repro.eval.results_io import serialize_run_result
+from repro.sim.gpu import GPUSimulator
+from repro.sim.profiling import TraceProfile
+from repro.sim.runner import GAP_EPSILON, Runner
 
 
 class TestCalibration:
@@ -20,6 +24,62 @@ class TestCalibration:
         assert profile.total_accesses > 0
         # The tiny streaming workload is overwhelmingly streaming.
         assert profile.streaming_ratio > 0.7
+
+
+class TestCalibrationRuns:
+    """A search that settles on the window its last round simulated
+    reuses that round as the recorded baseline; one that runs out of
+    rounds records once more, at the window it ended on."""
+
+    @staticmethod
+    def calibrate(monkeypatch, name):
+        """Calibrate ``name`` at scale 0.1; returns the runner, the
+        calibration and the window of every simulation it ran."""
+        windows = []
+        real = GPUSimulator.run
+
+        def spy(sim, workload, **kwargs):
+            windows.append(kwargs["max_inflight"])
+            return real(sim, workload, **kwargs)
+
+        monkeypatch.setattr(GPUSimulator, "run", spy)
+        runner = Runner(scale=0.1)
+        calib = runner.calibration(name)
+        monkeypatch.undo()
+        return runner, calib, windows
+
+    @staticmethod
+    def assert_matches_fresh_recording(runner, name, calib):
+        recorder = GPUSimulator(
+            runner.config.with_scheme(Scheme.UNPROTECTED), record_stream=True)
+        baseline = recorder.run(runner.workload(name), gap=GAP_EPSILON,
+                                max_inflight=calib.window)
+        assert serialize_run_result(calib.baseline) == \
+            serialize_run_result(baseline)
+        detectors = runner.config.scheme.detectors
+        profile = TraceProfile(
+            region_size=detectors.readonly_region_size,
+            chunk_size=detectors.stream_chunk_size,
+        ).ingest(recorder.streams)
+        assert calib.profile.streaming_ratio == profile.streaming_ratio
+        assert calib.profile.readonly_ratio == profile.readonly_ratio
+        assert calib.profile._phases == profile._phases
+        assert calib.profile._written == profile._written
+
+    def test_converged_search_reuses_its_last_round(self, monkeypatch):
+        runner, calib, windows = self.calibrate(monkeypatch, "atax")
+        assert windows == [512, 134, 52]
+        assert calib.window == windows[-1]
+        self.assert_matches_fresh_recording(runner, "atax", calib)
+
+    def test_exhausted_search_records_at_its_final_window(self,
+                                                          monkeypatch):
+        runner, calib, windows = self.calibrate(monkeypatch, "kmeans")
+        # Four search rounds, then one recording at the window they
+        # ended on.
+        assert windows == [512, 435, 369, 313, 266]
+        assert calib.window == windows[-1]
+        self.assert_matches_fresh_recording(runner, "kmeans", calib)
 
 
 class TestCaching:

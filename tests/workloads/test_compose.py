@@ -243,7 +243,8 @@ class TestLoadSpec:
 
 class TestDescribe:
     def test_mentions_phases_and_patterns(self):
-        text = describe(small_spec(), scale=0.5)
+        spec = small_spec()
+        text = describe(spec, build_workload(spec, 0.5), scale=0.5)
         assert "warm" in text and "mix" in text
         assert "zipfian(a)" in text
         assert "2 kernels" in text

@@ -27,6 +27,21 @@ def tiny_spec(**mt_overrides):
     return spec
 
 
+#: trace_digest of each suite at scale 0.1.
+PINNED_DIGESTS = {
+    "mt4_churn0":
+        "f2dd99c9e4f595852250c110b015f3c8afa9921c7f2d8792a60039a5cf982536",
+    "mt4_churn25":
+        "9b1ecb76a0038a4d37a1f3d6c10b5f25ec8359842f3fb88df6d708d6fb0b30b2",
+    "mt4_churn50":
+        "6f4a60e077bcc9f28c36aaa634f78fc8341b789d019e6d79695c15ea59b2f4e9",
+    "mt4_churn100":
+        "93b4ae737aec34bb1759c16d5799d6188f4e385d6ad30ecacfce994f6ecb9d72",
+    "mt4":
+        "591704a4139e7486112cfec3642869ef21509c0c37fb78932017ce52a08d8b8e",
+}
+
+
 def trace_digest(workload) -> str:
     h = hashlib.sha256()
     for kernel in workload.kernels:
@@ -142,6 +157,15 @@ class TestDeterminism:
     def test_rebuild_is_byte_identical(self):
         assert trace_digest(build_multi_tenant(tiny_spec())) == \
             trace_digest(build_multi_tenant(tiny_spec()))
+
+    @pytest.mark.parametrize(
+        "spec", [phase_churn_spec(churn) for churn in (0.0, 0.25, 0.5, 1.0)]
+        + [contention_spec(4)], ids=lambda spec: spec["name"])
+    def test_pinned_trace_digest(self, spec):
+        """The churn and contention suites at scale 0.1 reproduce the
+        traces the campaign results were measured on, byte for byte."""
+        assert trace_digest(build_multi_tenant(spec, 0.1)) == \
+            PINNED_DIGESTS[spec["name"]]
 
     def test_digest_stable_across_pythonhashseed(self, tmp_path):
         """A fresh interpreter with a different PYTHONHASHSEED (the

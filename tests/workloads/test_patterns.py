@@ -155,6 +155,41 @@ class TestZipfian:
         assert all(w for _, w, _ in
                    pat.zipfian(rng, 0, 4 * KB, 50, is_write=True))
 
+    @staticmethod
+    def reference(rng, base, size, count, alpha, is_write):
+        """Reference generator: rebuild the cumulative weights on every
+        call and binary-search each draw by hand."""
+        n = size // 32
+        cumulative = []
+        total = 0.0
+        for k in range(1, n + 1):
+            total += 1.0 / (k ** alpha)
+            cumulative.append(total)
+        out = []
+        for _ in range(count):
+            pick = rng.random() * total
+            lo, hi = 0, n - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cumulative[mid] < pick:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            out.append((base + lo * 32, is_write, 1))
+        return out
+
+    @pytest.mark.parametrize("alpha", [0, 0.5, 0.9, 1.2, 2.0])
+    @pytest.mark.parametrize("size", [32, 96, 4 * KB, 64 * KB, 150 * KB])
+    def test_matches_reference(self, alpha, size):
+        for seed in (0, 7, 2241):
+            for is_write in (False, True):
+                expected = self.reference(random.Random(seed), 4096, size,
+                                          300, alpha, is_write)
+                # Twice: the second call is served from the memoized table.
+                for _ in range(2):
+                    assert pat.zipfian(random.Random(seed), 4096, size,
+                                       300, alpha, is_write) == expected
+
 
 class TestInterleave:
     def test_preserves_order_within_source(self, rng):
