@@ -2,7 +2,7 @@
 
 from repro.core.api import Allocation, SecureGPUContext
 from repro.core.functional import SecureMemoryDevice
-from repro.core.mee import DRAMRequest, MEEResult, MemoryEncryptionEngine, TruthProvider
+from repro.core.mee import MemoryEncryptionEngine, TruthProvider
 from repro.core.readonly import ReadOnlyDetector
 from repro.core.schemes import (
     FIG12_SCHEMES,
@@ -19,8 +19,6 @@ __all__ = [
     "Allocation",
     "SecureGPUContext",
     "SecureMemoryDevice",
-    "DRAMRequest",
-    "MEEResult",
     "MemoryEncryptionEngine",
     "TruthProvider",
     "ReadOnlyDetector",

@@ -27,7 +27,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.core.mee import MemoryEncryptionEngine, MEEResult
+    from repro.core.mee import MemoryEncryptionEngine
 
 
 class CounterPolicy(ABC):
@@ -37,9 +37,10 @@ class CounterPolicy(ABC):
         self.mee = mee
 
     @abstractmethod
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
-               region_id: int, is_write: bool) -> bool:
-        """Emit this access's counter/BMT traffic into ``result``.
+    def access(self, cycle: float, block_id: int, region_id: int,
+               is_write: bool) -> bool:
+        """Emit this access's counter/BMT traffic (each transfer is
+        placed on its DRAM channel as it is emitted).
 
         Returns whether the access was treated as read-only (the MAC
         path's Tables III/IV handling needs this).
@@ -53,10 +54,10 @@ class MACPolicy(ABC):
         self.mee = mee
 
     @abstractmethod
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                chunk_id: int, block_offset: int, region_id: int,
                read_only: bool, is_write: bool) -> None:
-        """Emit this access's MAC traffic into ``result``."""
+        """Emit this access's MAC traffic."""
 
 
 class IntegrityPolicy(ABC):

@@ -19,7 +19,7 @@ from repro.core.policies.base import CounterPolicy
 from repro.metadata import layout as mlayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.core.mee import MemoryEncryptionEngine, MEEResult
+    from repro.core.mee import MemoryEncryptionEngine
 
 
 class SplitCounterPolicy(CounterPolicy):
@@ -27,7 +27,7 @@ class SplitCounterPolicy(CounterPolicy):
     read-modify-writes its per-block minor counter through the counter
     cache; minor-counter overflow re-encrypts the line's coverage."""
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                region_id: int, is_write: bool) -> bool:
         mee = self.mee
         if is_write:
@@ -36,15 +36,15 @@ class SplitCounterPolicy(CounterPolicy):
                 line = mlayout.counter_line(block_id)
                 if mee._led:
                     mee._led_begin()
-                    mee._reencrypt_line(result, line)
+                    mee._reencrypt_line(line)
                     mee.led.ctr_overflow(
                         cycle, mee.partition_id, mee.kernel_idx,
                         block_id, line, *mee._led_end())
                 else:
-                    mee._reencrypt_line(result, line)
-            mee._ctr_access(result, block_id, is_write=True, fetch=True)
+                    mee._reencrypt_line(line)
+            mee._ctr_access(block_id, is_write=True, fetch=True)
         else:
-            mee._ctr_access(result, block_id, is_write=False, fetch=True)
+            mee._ctr_access(block_id, is_write=False, fetch=True)
         return False
 
 
@@ -60,7 +60,7 @@ class CommonCounterPolicy(CounterPolicy):
         super().__init__(mee)
         self.inner = inner
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                region_id: int, is_write: bool) -> bool:
         mee = self.mee
         ctr_line = mlayout.counter_line(block_id)
@@ -69,7 +69,7 @@ class CommonCounterPolicy(CounterPolicy):
             mee.common.record_write(ctr_line, block_id)
             mee.counters.record_write(block_id)
             if was_common:
-                mee._ctr_access(result, block_id, is_write=True, fetch=False)
+                mee._ctr_access(block_id, is_write=True, fetch=False)
                 mee.common_counter_hits += 1
                 if mee._observe:
                     mee.obs.mee_event(mee.partition_id,
@@ -81,7 +81,7 @@ class CommonCounterPolicy(CounterPolicy):
                 mee.obs.mee_event(mee.partition_id,
                                   "common_counter_hit", cycle)
             return False
-        return self.inner.access(result, cycle, block_id, region_id, is_write)
+        return self.inner.access(cycle, block_id, region_id, is_write)
 
 
 class SharedReadonlyCounterPolicy(CounterPolicy):
@@ -96,7 +96,7 @@ class SharedReadonlyCounterPolicy(CounterPolicy):
         super().__init__(mee)
         self.inner = inner
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                region_id: int, is_write: bool) -> bool:
         mee = self.mee
         predicted_ro = mee.readonly.predict(region_id)
@@ -109,16 +109,16 @@ class SharedReadonlyCounterPolicy(CounterPolicy):
             if transitioned:
                 if mee._led:
                     mee._led_begin()
-                    mee._propagate_shared_counter(result, region_id)
+                    mee._propagate_shared_counter(region_id)
                     mee.led.ro_transition(
                         cycle, mee.partition_id, mee.kernel_idx,
                         region_id, evicted, *mee._led_end())
                 else:
-                    mee._propagate_shared_counter(result, region_id)
+                    mee._propagate_shared_counter(region_id)
         elif predicted_ro:
             mee.shared_counter_reads += 1
             if mee._observe:
                 mee.obs.mee_event(mee.partition_id,
                                   "shared_counter_read", cycle)
             return True
-        return self.inner.access(result, cycle, block_id, region_id, is_write)
+        return self.inner.access(cycle, block_id, region_id, is_write)

@@ -65,7 +65,7 @@ from repro.core.streaming import StreamingDetector, Verdict
 from repro.obs.decisions import _GAP_BUCKETS, _RegionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.core.mee import MemoryEncryptionEngine, MEEResult
+    from repro.core.mee import MemoryEncryptionEngine
 
 #: Length of the ledger's per-region feature vector.
 FEATURES = 3 + _GAP_BUCKETS
@@ -370,7 +370,7 @@ class LearnedReadonlyCounterPolicy(SharedReadonlyCounterPolicy):
         self._bank: Dict[int, _RegionState] = {}
         self._streak: Dict[int, int] = {}
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                region_id: int, is_write: bool) -> bool:
         mee = self.mee
         detector = self.detector
@@ -387,7 +387,7 @@ class LearnedReadonlyCounterPolicy(SharedReadonlyCounterPolicy):
             transitioned = detector.on_store(region_id)
             if transitioned:
                 mee._led_begin()
-                mee._propagate_shared_counter(result, region_id)
+                mee._propagate_shared_counter(region_id)
                 cost_bytes, cost_transfers = mee._led_end()
                 if was_promoted:
                     stall = _policy_stall(mee, cost_bytes, cost_transfers)
@@ -426,7 +426,7 @@ class LearnedReadonlyCounterPolicy(SharedReadonlyCounterPolicy):
                             cycle, mee.partition_id, mee.kernel_idx,
                             region_id, round(score, 6))
             self._streak[region_id] = streak
-        return self.inner.access(result, cycle, block_id, region_id, is_write)
+        return self.inner.access(cycle, block_id, region_id, is_write)
 
 
 class LearnedStreamingMACPolicy(DualGranularityMACPolicy):
@@ -441,8 +441,7 @@ class LearnedStreamingMACPolicy(DualGranularityMACPolicy):
         super().__init__(mee)
         self.detector = detector
 
-    def _process_verdicts(self, result: "MEEResult", cycle: float,
-                          verdicts) -> None:
+    def _process_verdicts(self, cycle: float, verdicts) -> None:
         mee = self.mee
         for verdict in verdicts:
             if mee._observe:
@@ -451,7 +450,7 @@ class LearnedStreamingMACPolicy(DualGranularityMACPolicy):
                     f"verdict_{verdict.pattern.value}", cycle, instant=True,
                 )
             mee._led_begin()
-            self._handle_verdict(result, verdict)
+            self._handle_verdict(verdict)
             cost_bytes, cost_transfers = mee._led_end()
             stall = _policy_stall(mee, cost_bytes, cost_transfers)
             score = self.detector.observe_verdict(cycle, verdict, stall)
@@ -562,7 +561,7 @@ class BanditCounterPolicy(SharedReadonlyCounterPolicy):
         super().__init__(mee, inner)
         self.selector = selector
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                region_id: int, is_write: bool) -> bool:
         mee = self.mee
         selector = self.selector
@@ -578,7 +577,7 @@ class BanditCounterPolicy(SharedReadonlyCounterPolicy):
             transitioned = mee.readonly.on_store(region_id)
             if transitioned:
                 mee._led_begin()
-                mee._propagate_shared_counter(result, region_id)
+                mee._propagate_shared_counter(region_id)
                 cost_bytes, cost_transfers = mee._led_end()
                 selector.charge(
                     region_id, _policy_stall(mee, cost_bytes, cost_transfers))
@@ -593,7 +592,7 @@ class BanditCounterPolicy(SharedReadonlyCounterPolicy):
                 mee.obs.mee_event(mee.partition_id,
                                   "shared_counter_read", cycle)
             return True
-        return self.inner.access(result, cycle, block_id, region_id, is_write)
+        return self.inner.access(cycle, block_id, region_id, is_write)
 
 
 class BanditMACPolicy(DualGranularityMACPolicy):
@@ -614,7 +613,7 @@ class BanditMACPolicy(DualGranularityMACPolicy):
     def _region_of(self, chunk_id: int) -> int:
         return chunk_id // self._region_shift
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                chunk_id: int, block_offset: int, region_id: int,
                read_only: bool, is_write: bool) -> None:
         mee = self.mee
@@ -626,14 +625,14 @@ class BanditMACPolicy(DualGranularityMACPolicy):
         )
 
         if is_write:
-            mee._blk_mac_access(result, block_id, is_write=True)
+            mee._blk_mac_access(block_id, is_write=True)
             self._chunk_mac_stale[chunk_id] = True
             if mee.scheme.mac_conflict_policy == "update_both":
-                mee._chunk_mac_access(result, chunk_id, is_write=True)
+                mee._chunk_mac_access(chunk_id, is_write=True)
                 self._chunk_mac_stale.pop(chunk_id, None)
         elif (predicted is Pattern.STREAM and tracked
                 and selector.arm(region_id)[1] == "dual"):
-            mee._chunk_mac_access(result, chunk_id, is_write=False)
+            mee._chunk_mac_access(chunk_id, is_write=False)
             selector.save(region_id, COARSE_READ_SAVING)
             if self._chunk_mac_stale.get(chunk_id, False):
                 mee.rechecks += 1
@@ -641,7 +640,7 @@ class BanditMACPolicy(DualGranularityMACPolicy):
                     mee.obs.mee_event(mee.partition_id, "mac_recheck",
                                       cycle)
                 mee._led_begin()
-                mee._blk_mac_access(result, block_id, is_write=False,
+                mee._blk_mac_access(block_id, is_write=False,
                                     as_mispred=True)
                 cost_bytes, cost_transfers = mee._led_end()
                 selector.charge(
@@ -651,14 +650,14 @@ class BanditMACPolicy(DualGranularityMACPolicy):
                         cycle, mee.partition_id, mee.kernel_idx, chunk_id,
                         "stale_chunk_mac", cost_bytes, cost_transfers)
         else:
-            mee._blk_mac_access(result, block_id, is_write=False)
+            mee._blk_mac_access(block_id, is_write=False)
             if self._blk_macs_stale.get(chunk_id, False):
                 mee.rechecks += 1
                 if mee._observe:
                     mee.obs.mee_event(mee.partition_id, "mac_recheck",
                                       cycle)
                 mee._led_begin()
-                mee._chunk_mac_access(result, chunk_id, is_write=False,
+                mee._chunk_mac_access(chunk_id, is_write=False,
                                       as_mispred=True)
                 cost_bytes, cost_transfers = mee._led_end()
                 selector.charge(
@@ -669,10 +668,9 @@ class BanditMACPolicy(DualGranularityMACPolicy):
                         "stale_block_macs", cost_bytes, cost_transfers)
 
         if verdicts:
-            self._process_verdicts(result, cycle, verdicts)
+            self._process_verdicts(cycle, verdicts)
 
-    def _process_verdicts(self, result: "MEEResult", cycle: float,
-                          verdicts) -> None:
+    def _process_verdicts(self, cycle: float, verdicts) -> None:
         mee = self.mee
         selector = self.selector
         for verdict in verdicts:
@@ -682,7 +680,7 @@ class BanditMACPolicy(DualGranularityMACPolicy):
                     f"verdict_{verdict.pattern.value}", cycle, instant=True,
                 )
             mee._led_begin()
-            self._handle_verdict(result, verdict)
+            self._handle_verdict(verdict)
             cost_bytes, cost_transfers = mee._led_end()
             selector.charge(
                 self._region_of(verdict.chunk_id),

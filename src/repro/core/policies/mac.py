@@ -17,7 +17,7 @@ from repro.metadata import layout as mlayout
 from repro.metadata.caches import KIND_MAC
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.core.mee import MemoryEncryptionEngine, MEEResult
+    from repro.core.mee import MemoryEncryptionEngine
     from repro.core.streaming import Verdict
 
 
@@ -25,10 +25,10 @@ class BlockMACPolicy(MACPolicy):
     """One MAC per data block, verified on read, produced on write —
     the organisation of every non-adaptive scheme."""
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                chunk_id: int, block_offset: int, region_id: int,
                read_only: bool, is_write: bool) -> None:
-        self.mee._blk_mac_access(result, block_id, is_write=is_write)
+        self.mee._blk_mac_access(block_id, is_write=is_write)
 
 
 class DualGranularityMACPolicy(MACPolicy):
@@ -47,7 +47,7 @@ class DualGranularityMACPolicy(MACPolicy):
         #: STREAM verdict absorbs dirty block MACs into the chunk MAC.)
         self._blk_macs_stale: Dict[int, bool] = {}
 
-    def access(self, result: "MEEResult", cycle: float, block_id: int,
+    def access(self, cycle: float, block_id: int,
                chunk_id: int, block_offset: int, region_id: int,
                read_only: bool, is_write: bool) -> None:
         mee = self.mee
@@ -63,15 +63,15 @@ class DualGranularityMACPolicy(MACPolicy):
             # ever arriving.  When a STREAM verdict lands, the chunk
             # MAC absorbs them and the dirty bits are dropped (the
             # block-MAC write traffic of streaming chunks is averted).
-            mee._blk_mac_access(result, block_id, is_write=True)
+            mee._blk_mac_access(block_id, is_write=True)
             self._chunk_mac_stale[chunk_id] = True
             if mee.scheme.mac_conflict_policy == "update_both":
-                mee._chunk_mac_access(result, chunk_id, is_write=True)
+                mee._chunk_mac_access(chunk_id, is_write=True)
                 self._chunk_mac_stale.pop(chunk_id, None)
         elif predicted is Pattern.STREAM and tracked:
             # Coarse path: the monitoring MAT accumulates the chunk
             # digest, so one chunk-MAC fetch verifies the whole stream.
-            mee._chunk_mac_access(result, chunk_id, is_write=False)
+            mee._chunk_mac_access(chunk_id, is_write=False)
             if self._chunk_mac_stale.get(chunk_id, False):
                 # The chunk MAC is out of date (writes since its last
                 # production): the verification falls back to the
@@ -82,18 +82,18 @@ class DualGranularityMACPolicy(MACPolicy):
                                       cycle)
                 if mee._led:
                     mee._led_begin()
-                    mee._blk_mac_access(result, block_id, is_write=False,
+                    mee._blk_mac_access(block_id, is_write=False,
                                         as_mispred=True)
                     mee.led.mac_recheck(
                         cycle, mee.partition_id, mee.kernel_idx, chunk_id,
                         "stale_chunk_mac", *mee._led_end())
                 else:
-                    mee._blk_mac_access(result, block_id, is_write=False,
+                    mee._blk_mac_access(block_id, is_write=False,
                                         as_mispred=True)
         else:
             # Predicted random, or no MAT free to accumulate a chunk
             # digest: per-block MAC verification.
-            mee._blk_mac_access(result, block_id, is_write=False)
+            mee._blk_mac_access(block_id, is_write=False)
             if self._blk_macs_stale.get(chunk_id, False):
                 # DRAM block MACs lag the chunk MAC (their dirty bits
                 # were dropped at a STREAM verdict): fall back to the
@@ -104,19 +104,19 @@ class DualGranularityMACPolicy(MACPolicy):
                                       cycle)
                 if mee._led:
                     mee._led_begin()
-                    mee._chunk_mac_access(result, chunk_id, is_write=False,
+                    mee._chunk_mac_access(chunk_id, is_write=False,
                                           as_mispred=True)
                     mee.led.mac_recheck(
                         cycle, mee.partition_id, mee.kernel_idx, chunk_id,
                         "stale_block_macs", *mee._led_end())
                 else:
-                    mee._chunk_mac_access(result, chunk_id, is_write=False,
+                    mee._chunk_mac_access(chunk_id, is_write=False,
                                           as_mispred=True)
 
         if verdicts:
-            self._process_verdicts(result, cycle, verdicts)
+            self._process_verdicts(cycle, verdicts)
 
-    def _process_verdicts(self, result: "MEEResult", cycle: float,
+    def _process_verdicts(self, cycle: float,
                           verdicts: "Sequence[Verdict]") -> None:
         """Apply each delivered verdict's remediation, bracketed by the
         ledger cost scope when a ledger is attached.  Overridable: the
@@ -131,15 +131,14 @@ class DualGranularityMACPolicy(MACPolicy):
                 )
             if mee._led:
                 mee._led_begin()
-                self._handle_verdict(result, verdict)
+                self._handle_verdict(verdict)
                 mee.led.stream_verdict(
                     cycle, mee.partition_id, mee.kernel_idx, verdict,
                     *mee._led_end())
             else:
-                self._handle_verdict(result, verdict)
+                self._handle_verdict(verdict)
 
-    def _handle_verdict(self, result: "MEEResult",
-                        verdict: "Verdict") -> None:
+    def _handle_verdict(self, verdict: "Verdict") -> None:
         """Apply the remedial traffic of Tables III and IV when a MAT
         verdict disagrees with the prediction that was in force."""
         mee = self.mee
@@ -157,7 +156,7 @@ class DualGranularityMACPolicy(MACPolicy):
                 # Produce and update the chunk MAC from the block MACs
                 # of the monitored stream, then drop their dirty bits:
                 # one 8 B chunk MAC replaces 32 block-MAC write backs.
-                mee._chunk_mac_access(result, chunk, is_write=True)
+                mee._chunk_mac_access(chunk, is_write=True)
                 self._chunk_mac_stale.pop(chunk, None)
                 cleaned = 0
                 for b in range(first_block, first_block + blocks,
@@ -173,7 +172,7 @@ class DualGranularityMACPolicy(MACPolicy):
                 # Random->stream misprediction on a read stream: the
                 # chunk MAC is re-fetched and re-produced (Table III,
                 # last row).
-                mee._chunk_mac_access(result, chunk, is_write=True,
+                mee._chunk_mac_access(chunk, is_write=True,
                                       as_mispred=True)
                 self._chunk_mac_stale.pop(chunk, None)
         else:  # RANDOM verdict
@@ -184,11 +183,11 @@ class DualGranularityMACPolicy(MACPolicy):
                     # every data block (validated by the chunk MAC) and
                     # rewrite up-to-date block MACs (Table III row 3 /
                     # Table IV row 2).
-                    mee._emit_bulk(result, blocks * constants.BLOCK_SIZE,
-                                   False, "mispred")
+                    mee._emit_bulk(blocks * constants.BLOCK_SIZE, False,
+                                   "mispred")
                     for b in range(first_block, first_block + blocks,
                                    mee._mac_sector_coverage):
-                        mee._blk_mac_access(result, b, is_write=True)
+                        mee._blk_mac_access(b, is_write=True)
                     self._blk_macs_stale.pop(chunk, None)
                 else:
                     # Block MACs are up to date (context init or dirty
@@ -200,8 +199,7 @@ class DualGranularityMACPolicy(MACPolicy):
                     block = first_block
                     while mask:
                         if mask & ((1 << mee._mac_sector_coverage) - 1):
-                            mee._blk_mac_access(result, block,
-                                                is_write=False,
+                            mee._blk_mac_access(block, is_write=False,
                                                 as_mispred=True)
                         mask >>= mee._mac_sector_coverage
                         block += mee._mac_sector_coverage

@@ -2,8 +2,8 @@
 
 Micro benchmarks time the simulator's hot primitives in isolation —
 histogram recording, MDC lookups, each scheme's policy stack through a
-bare :class:`~repro.core.mee.MemoryEncryptionEngine`, and each
-registered DRAM scheduler through a bare
+:class:`~repro.core.mee.MemoryEncryptionEngine` on FIFO DRAM channels,
+and each registered DRAM scheduler through a bare
 :class:`~repro.memory.dram.DRAMChannel`.  Macro benchmarks are short
 full simulator runs (calibration excluded: it happens once in setup)
 for a pinned schemes x workloads grid at a pinned scale, so numbers
@@ -105,13 +105,23 @@ def _setup_policy(scheme: str, **overrides: Any) -> Callable[[], Tuple[Callable[
         from repro.common import constants
         from repro.common.address import AddressMapper
         from repro.common.config import SimConfig
+        from repro.common.types import TrafficCounters
         from repro.core.mee import MemoryEncryptionEngine
+        from repro.memory.dram import DRAMChannel
         from repro.metadata.counters import SharedCounter
 
         config = SimConfig().with_scheme(scheme, **overrides)
         gpu = config.gpu
         mapper = AddressMapper(gpu.num_partitions, gpu.interleave_bytes)
         mee = MemoryEncryptionEngine(0, config, mapper, SharedCounter())
+        # Real FIFO channels, so the cells time the fused path an
+        # unobserved run takes (transfers placed as they are emitted).
+        mee.attach_channels(
+            [DRAMChannel(gpu.dram_bytes_per_cycle, gpu.dram_latency,
+                         gpu.dram_request_overhead, gpu.dram_turnaround,
+                         partition=p)
+             for p in range(gpu.num_partitions)],
+            TrafficCounters())
         # A partition-0 address stream mixing reads with write-backs.
         accesses: List[Tuple[int, int, bool]] = []
         addr = 0

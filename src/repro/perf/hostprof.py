@@ -4,8 +4,8 @@
 while simulating?" — the complement of the :mod:`repro.obs` layer,
 which observes simulated cycles.  It is out of band: nothing in the
 simulator knows it exists, so a sampled run takes exactly the code
-path (batch loop, direct emission, fused metadata hits) of an
-unsampled one.
+path (batch loop, fused metadata hits and misses) of an unsampled
+one.
 
 While the context is open, ``setitimer(ITIMER_PROF)`` delivers a
 SIGPROF every :data:`INTERVAL_S` of process CPU time.  The handler

@@ -26,7 +26,7 @@ from repro.common import constants
 from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.common.types import TrafficCounters
-from repro.core.mee import MEEResult, MemoryEncryptionEngine
+from repro.core.mee import MemoryEncryptionEngine
 from repro.memory.cache import Eviction
 from repro.memory.dram import DRAMChannel
 from repro.memory.l2 import SAMPLE_STRIDE, PartitionL2
@@ -35,34 +35,6 @@ from repro.sim.stats import L2Stats
 
 #: Completion latency of an L2 hit (core <-> L2 round trip).
 L2_HIT_LATENCY = 90
-
-#: DRAM-request kind -> the :class:`TrafficCounters` attribute that
-#: accumulates its bytes.  :meth:`MemoryPipeline.schedule` refuses
-#: kinds that are not registered here: an unknown kind used to be
-#: silently booked as demand data, which corrupted every overhead
-#: ratio derived from the traffic breakdown.
-TRAFFIC_KIND_COUNTERS: Dict[str, str] = {
-    "data": "data_bytes",
-    "ctr": "counter_bytes",
-    "mac": "mac_bytes",
-    "bmt": "bmt_bytes",
-    "mispred": "misprediction_bytes",
-}
-
-
-def register_traffic_kind(kind: str, counter_attr: str) -> None:
-    """Register a custom DRAM-request kind.
-
-    Schemes that emit new metadata kinds must map them to an existing
-    :class:`TrafficCounters` attribute before the pipeline will
-    schedule them (``schedule`` raises on unregistered kinds).
-    """
-    if counter_attr not in TrafficCounters.__dataclass_fields__:
-        raise ValueError(
-            f"unknown TrafficCounters attribute {counter_attr!r}"
-        )
-    TRAFFIC_KIND_COUNTERS[kind] = counter_attr
-
 
 class MemoryPipeline:
     """L2 → MEE → DRAM for one simulation instance.
@@ -98,16 +70,10 @@ class MemoryPipeline:
         self.kernel_idx = 0
         self._hash_latency = config.gpu.hash_latency
         self._victim_mode = config.scheme.l2_victim_cache
-        # Arm the MEEs' direct-emission fast path (metadata transfers
-        # occupy their channel at emission time, bypassing the
-        # DRAMRequest lists and the schedule() loop) — the MEE itself
-        # refuses to arm when an observer or the victim cache needs
-        # the materialised request stream.
-        self._direct_meta = False
-        if mees:
-            for mee in mees:
-                mee.attach_direct(channels, self.traffic)
-            self._direct_meta = mees[0]._direct
+        # Every metadata transfer is placed on its channel, and booked
+        # in this pipeline's traffic counters, when the MEE emits it.
+        for mee in mees:
+            mee.attach_channels(channels, self.traffic)
         #: Translate/classify memo of the batch core: access tuple
         #: ``(addr, is_write, nsectors)`` -> its precomputed route (see
         #: :meth:`translate_batch`).  Address mapping, bank selection
@@ -188,49 +154,19 @@ class MemoryPipeline:
         ctr_done = 0.0
         if self.mees:
             mee = self.mees[partition]
-            if self._direct_meta:
-                ctr_done = mee.on_read_miss_direct(issue, line_addr,
-                                                   local_offset)
-            else:
-                mee_result = mee.on_read_miss(issue, line_addr, local_offset)
-                ctr_done, _ = self.schedule(issue, mee_result)
-                # Victim insertions of the walk can displace dirty data
+            ctr_done = mee.on_read_miss(issue, line_addr, local_offset)
+            if mee.displaced:
+                # Victim insertions of the walk displaced dirty data
                 # lines from the L2; they leave by the secure write path.
-                for disp in mee_result.displaced_data:
-                    self.writeback(issue, Eviction(
-                        key=disp.line_key,
-                        dirty_sectors=disp.dirty_sectors,
-                        valid_sectors=disp.dirty_sectors,
-                    ))
+                for line in _take_displaced(mee):
+                    self.writeback(issue, line)
             if ctr_done:
                 # Pad generation (AES) starts when the counter arrives;
                 # decryption cannot complete before it.
                 ctr_done += self._hash_latency
-        size = len(fetch_sectors) * constants.SECTOR_SIZE
-        channel = self.channels[partition]
-        if channel.fifo_fast:
-            # DRAMChannel.occupy, inlined (fifo_fast is off on observed
-            # channels, so no dram event can be owed).
-            start = channel._next_free
-            if issue > start:
-                start = issue
-            occupancy = (channel.request_overhead
-                         + size / channel.bytes_per_cycle)
-            if channel._last_was_write:
-                occupancy += channel.turnaround
-                channel._last_was_write = False
-            next_free = start + occupancy
-            channel._next_free = next_free
-            ch_stats = channel.stats
-            ch_stats.requests += 1
-            ch_stats.busy_cycles += occupancy
-            ch_stats.read_bytes += size
-            data_done = next_free + channel.latency
-        else:
-            data_done = channel.service(issue, size, address=line_addr)
-        self.traffic.data_bytes += size
-        if self._observe:
-            self.obs.traffic(issue, partition, "data", size, False)
+        data_done = self.schedule(issue, partition,
+                                  len(fetch_sectors) * constants.SECTOR_SIZE,
+                                  False, line_addr)
         done = data_done if data_done >= ctr_done else ctr_done
         mshr.allocate_burst(line_key, fetch_sectors, done, issue)
         if self.record_stream:
@@ -485,114 +421,62 @@ class MemoryPipeline:
                 partition = chunk % nparts
                 local_offset = ((chunk // nparts) * mapper.interleave_bytes
                                 + (phys & mapper._ilv_mask))
-                channel = self.channels[partition]
-                if channel.fifo_fast:
-                    done = channel.occupy(issue, size, True)
-                else:
-                    done = channel.service(
-                        issue, size, is_write=True, address=phys
-                    )
+                done = self.schedule(issue, partition, size, True, phys)
                 if done > last_done:
                     last_done = done
-                self.traffic.data_bytes += size
                 self.l2_stats.writebacks += 1
-                if self._observe:
-                    self.obs.traffic(issue, partition, "data", size, True)
                 if self.record_stream:
                     self.streams[partition].append(
                         (local_offset, True, self.kernel_idx)
                     )
                 if self.mees:
-                    if self._direct_meta:
-                        # Direct mode: the secure write path emits
-                        # straight to the channels, and (victim cache
-                        # off) can displace nothing.
-                        self.mees[partition].on_writeback_direct(
-                            issue, phys, local_offset
-                        )
-                    else:
-                        mee_result = self.mees[partition].on_writeback(
-                            issue, phys, local_offset
-                        )
-                        self.schedule(issue, mee_result)
-                        if mee_result.displaced_data:
-                            if queue is None:
-                                queue = deque()
-                            for disp in mee_result.displaced_data:
-                                queue.append(
-                                    Eviction(
-                                        key=disp.line_key,
-                                        dirty_sectors=disp.dirty_sectors,
-                                        valid_sectors=disp.dirty_sectors,
-                                    )
-                                )
+                    mee = self.mees[partition]
+                    mee.on_writeback(issue, phys, local_offset)
+                    if mee.displaced:
+                        if queue is None:
+                            queue = deque()
+                        queue.extend(_take_displaced(mee))
             ev = queue.popleft() if queue else None
         return last_done
 
     # ------------------------------------------------------------------
-    # Metadata traffic scheduling
+    # Demand-data transfers
     # ------------------------------------------------------------------
 
-    def schedule(self, issue: float,
-                 mee_result: MEEResult) -> Tuple[float, float]:
-        """Place the MEE's DRAM requests on their channels; returns
-        ``(critical_done, last_done)`` — the completion of the latest
-        decrypt-critical transfer, and of the latest transfer overall
-        (teardown flushes propagate the latter)."""
-        requests = mee_result.requests
-        if not requests:
-            return 0.0, 0.0
-        ctr_done = 0.0
-        last_done = 0.0
-        traffic = self.traffic
-        channels = self.channels
-        observe = self._observe
-        obs = self.obs
-        for req in requests:
-            channel = channels[req.partition]
-            if channel.fifo_fast:
-                # FIFO ``service`` is a pure pass-through to ``occupy``
-                # (see DRAMChannel.fifo_fast) — same arithmetic, two
-                # call layers fewer on the hottest MEE path.
-                done = channel.occupy(issue, req.size, req.is_write)
+    def schedule(self, issue: float, partition: int, size: int,
+                 is_write: bool, address: int) -> float:
+        """Place one demand-data transfer (a read miss's fetch or a
+        write-back) on its home channel and book it; returns its
+        completion cycle.  Metadata transfers never come through here:
+        the MEE places them as its policies emit them."""
+        channel = self.channels[partition]
+        if channel.fifo_fast:
+            # DRAMChannel.occupy, inlined (fifo_fast is off on observed
+            # channels, so no dram event can be owed).
+            start = channel._next_free
+            if issue > start:
+                start = issue
+            occupancy = (channel.request_overhead
+                         + size / channel.bytes_per_cycle)
+            if is_write != channel._last_was_write:
+                occupancy += channel.turnaround
+                channel._last_was_write = is_write
+            next_free = start + occupancy
+            channel._next_free = next_free
+            stats = channel.stats
+            stats.requests += 1
+            stats.busy_cycles += occupancy
+            if is_write:
+                stats.write_bytes += size
             else:
-                done = channel.service(
-                    issue, req.size, req.is_write, address=req.address,
-                    kind=req.kind, critical=req.critical,
-                )
-            # Inline dispatch for the built-in kinds; anything else
-            # must be registered (an unknown kind used to be silently
-            # booked as demand data).
-            kind = req.kind
-            if kind == "ctr":
-                traffic.counter_bytes += req.size
-            elif kind == "mac":
-                traffic.mac_bytes += req.size
-            elif kind == "bmt":
-                traffic.bmt_bytes += req.size
-            elif kind == "mispred":
-                traffic.misprediction_bytes += req.size
-            elif kind == "data":
-                traffic.data_bytes += req.size
-            else:
-                counter_attr = TRAFFIC_KIND_COUNTERS.get(kind)
-                if counter_attr is None:
-                    raise ValueError(
-                        f"unregistered DRAM request kind {kind!r}; "
-                        "declare it with repro.sim.pipeline."
-                        "register_traffic_kind()"
-                    )
-                setattr(traffic, counter_attr,
-                        getattr(traffic, counter_attr) + req.size)
-            if observe:
-                obs.traffic(issue, req.partition, kind, req.size,
-                            req.is_write)
-                obs.mee_op(req.partition, kind, req.is_write, issue, done,
-                           critical=req.critical)
-            if req.critical:
-                ctr_done = max(ctr_done, done)
-            last_done = max(last_done, done)
-        return ctr_done, last_done
+                stats.read_bytes += size
+            done = next_free + channel.latency
+        else:
+            done = channel.service(issue, size, is_write, address=address)
+        self.traffic.data_bytes += size
+        if self._observe:
+            self.obs.traffic(issue, partition, "data", size, is_write)
+        return done
 
     # ------------------------------------------------------------------
     # Teardown
@@ -608,12 +492,17 @@ class MemoryPipeline:
             for eviction in self.l2[partition].flush():
                 last = max(last, self.writeback(end, eviction))
         for mee in self.mees:
-            if self._direct_meta:
-                last = max(last, mee.flush_direct(end))
-            else:
-                result = MEEResult(requests=mee.flush())
-                _, flush_done = self.schedule(end, result)
-                last = max(last, flush_done)
+            last = max(last, mee.flush(end))
         for channel in self.channels:
             last = max(last, channel.drain())
         return last
+
+
+def _take_displaced(mee: MemoryEncryptionEngine) -> List[Eviction]:
+    """Hand off the dirty data lines a victim-cache walk displaced from
+    the L2, as write-back obligations (and clear the MEE's list, which
+    those write-backs' own walks may refill)."""
+    lines = [Eviction(key=d.line_key, dirty_sectors=d.dirty_sectors,
+                      valid_sectors=d.dirty_sectors) for d in mee.displaced]
+    mee.displaced.clear()
+    return lines

@@ -1,12 +1,15 @@
 """Shared fixtures: tiny workloads, a session-scoped runner, registry
-hygiene, and the per-access reference drive of the batch loop."""
+hygiene, the per-access reference drive of the batch loop, and a
+recording DRAM channel for standalone MEEs."""
 
 import contextlib
+from collections import namedtuple
 
 import pytest
 
-from repro.common.types import MemorySpace
+from repro.common.types import MemorySpace, TrafficCounters
 from repro.core.policies.registry import SCHEME_REGISTRY
+from repro.memory.dram import DRAMChannel
 from repro.sim.pipeline import MemoryPipeline
 from repro.sim.runner import Runner
 from repro.workloads import patterns as pat
@@ -52,6 +55,50 @@ def reference_drive():
             yield
 
     return drive
+
+
+#: One DRAM transfer as a :class:`RecordingChannel` saw it.
+Transfer = namedtuple("Transfer",
+                      "partition size is_write kind critical address")
+
+
+class RecordingChannel(DRAMChannel):
+    """A FIFO DRAM channel that logs every transfer placed on it.
+
+    ``fifo_fast`` is off, so the MEE cannot inline the occupancy: every
+    transfer goes through :meth:`service`, which appends a
+    :class:`Transfer` to the shared ``log`` and then serves it."""
+
+    def __init__(self, partition: int, log: list) -> None:
+        super().__init__(partition=partition)
+        self.fifo_fast = False
+        self.log = log
+
+    def service(self, arrival, size, is_write=False, address=-1,
+                kind="data", critical=False):
+        self.log.append(Transfer(self.partition, size, is_write, kind,
+                                 critical, address))
+        return super().service(arrival, size, is_write, address, kind,
+                               critical)
+
+
+def record_transfers(mee) -> list:
+    """Wire a standalone MEE to one recording channel per partition and
+    fresh traffic counters; returns the shared transfer log."""
+    log: list = []
+    partitions = mee.config.gpu.num_partitions
+    mee.attach_channels([RecordingChannel(p, log) for p in range(partitions)],
+                        TrafficCounters())
+    return log
+
+
+def placed(entry, *args) -> list:
+    """Call one entry point of a recorded MEE (a bound method such as
+    ``mee.on_read_miss``) and return the transfers it placed, in order."""
+    log = entry.__self__._channels[0].log
+    start = len(log)
+    entry(*args)
+    return log[start:]
 
 
 KB = 1024

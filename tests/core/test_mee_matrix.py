@@ -15,6 +15,7 @@ from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.core.mee import MemoryEncryptionEngine
 from repro.metadata.counters import SharedCounter
+from tests.conftest import placed, record_transfers
 
 SECURE_SCHEMES = [s for s in Scheme if s is not Scheme.UNPROTECTED]
 
@@ -23,7 +24,9 @@ def make_mee(scheme):
     config = SimConfig().with_scheme(scheme)
     mapper = AddressMapper(config.gpu.num_partitions,
                            config.gpu.interleave_bytes)
-    return MemoryEncryptionEngine(0, config, mapper, SharedCounter())
+    mee = MemoryEncryptionEngine(0, config, mapper, SharedCounter())
+    record_transfers(mee)
+    return mee
 
 
 def drive(mee, n=300, seed=1, footprint=1 << 20):
@@ -32,10 +35,10 @@ def drive(mee, n=300, seed=1, footprint=1 << 20):
     for i in range(n):
         offset = rng.randrange(footprint // 128) * 128
         if rng.random() < 0.3:
-            res = mee.on_writeback(i, offset, offset)
+            res = placed(mee.on_writeback, i, offset, offset)
         else:
-            res = mee.on_read_miss(i, offset, offset)
-        for req in res.requests:
+            res = placed(mee.on_read_miss, i, offset, offset)
+        for req in res:
             assert req.size > 0
             assert 0 <= req.partition < 12
             assert req.kind in ("ctr", "mac", "bmt", "mispred", "data")
@@ -59,8 +62,8 @@ class TestSchemeMatrix:
     def test_flush_is_idempotent(self, scheme):
         mee = make_mee(scheme)
         drive(mee, n=100)
-        first = mee.flush()
-        second = mee.flush()
+        first = placed(mee.flush)
+        second = placed(mee.flush)
         assert not second  # everything already drained
         assert all(r.is_write for r in first)
 
@@ -80,9 +83,9 @@ class TestTrafficInvariants:
         a full tree walk)."""
         mee = make_mee(Scheme.NAIVE)
         offset = block * 128
-        res = (mee.on_writeback(0, offset, offset) if is_write
-               else mee.on_read_miss(0, offset, offset))
-        assert sum(r.size for r in res.requests) <= 16 * 1024
+        res = (placed(mee.on_writeback, 0, offset, offset) if is_write
+               else placed(mee.on_read_miss, 0, offset, offset))
+        assert sum(r.size for r in res) <= 16 * 1024
 
     def test_readonly_reads_generate_no_freshness_traffic(self):
         mee = make_mee(Scheme.SHM)
@@ -90,8 +93,8 @@ class TestTrafficInvariants:
         rng = random.Random(3)
         for i in range(400):
             offset = rng.randrange((1 << 20) // 128) * 128
-            res = mee.on_read_miss(i, offset, offset)
-            kinds = {r.kind for r in res.requests}
+            res = placed(mee.on_read_miss, i, offset, offset)
+            kinds = {r.kind for r in res}
             assert "ctr" not in kinds and "bmt" not in kinds
 
     def test_critical_requests_are_always_counter_reads(self):
@@ -100,13 +103,13 @@ class TestTrafficInvariants:
             rng = random.Random(5)
             for i in range(200):
                 offset = rng.randrange(4096) * 128
-                res = mee.on_read_miss(i, offset, offset)
-                for req in res.requests:
+                res = placed(mee.on_read_miss, i, offset, offset)
+                for req in res:
                     if req.critical:
                         assert req.kind == "ctr" and not req.is_write
 
     def test_writes_never_critical(self):
         mee = make_mee(Scheme.PSSM)
         for i in range(100):
-            res = mee.on_writeback(i, i * 128, i * 128)
-            assert not any(r.critical for r in res.requests)
+            res = placed(mee.on_writeback, i, i * 128, i * 128)
+            assert not any(r.critical for r in res)

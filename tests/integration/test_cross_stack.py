@@ -15,6 +15,7 @@ from repro.common.types import Scheme
 from repro.core.api import SecureGPUContext
 from repro.core.mee import MemoryEncryptionEngine
 from repro.metadata.counters import SharedCounter
+from tests.conftest import placed, record_transfers
 
 KB = 1024
 
@@ -23,7 +24,9 @@ def make_mee(scheme=Scheme.SHM_READONLY):
     config = SimConfig().with_scheme(scheme)
     mapper = AddressMapper(config.gpu.num_partitions,
                            config.gpu.interleave_bytes)
-    return MemoryEncryptionEngine(0, config, mapper, SharedCounter())
+    mee = MemoryEncryptionEngine(0, config, mapper, SharedCounter())
+    record_transfers(mee)
+    return mee
 
 
 class TestReadOnlyAgreement:
@@ -38,8 +41,8 @@ class TestReadOnlyAgreement:
         # Traffic side (same footprint, partition-local view).
         mee = make_mee()
         mee.on_host_copy(0, 64 * KB, at_init=True)
-        res = mee.on_read_miss(0, 0, 0)
-        assert not any(r.kind in ("ctr", "bmt") for r in res.requests)
+        res = placed(mee.on_read_miss, 0, 0, 0)
+        assert not any(r.kind in ("ctr", "bmt") for r in res)
 
     def test_write_transitions_both_stacks(self):
         ctx = SecureGPUContext(memory_bytes=1 << 20)
@@ -53,8 +56,8 @@ class TestReadOnlyAgreement:
         mee.on_writeback(0, 0, 0)
         assert not mee.readonly.predict(0)
         # Subsequent reads pay counter traffic in the traffic model...
-        res = mee.on_read_miss(1, 128, 128)
-        paid_counters = any(r.kind == "ctr" for r in res.requests) or \
+        res = placed(mee.on_read_miss, 1, 128, 128)
+        paid_counters = any(r.kind == "ctr" for r in res) or \
             mee.caches.counter.hits > 0
         assert paid_counters
         # ...matching the functional model's per-block counters, whose

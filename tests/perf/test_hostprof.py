@@ -201,7 +201,7 @@ def profiled(tmp_path_factory):
             "sampled": isinstance(getattr(handler, "__self__", None),
                                   HostSampler),
             "fast_meta": [mee._fast_meta for mee in pipeline.mees],
-            "direct": [mee._direct for mee in pipeline.mees],
+            "fused_miss": [mee._fused_miss for mee in pipeline.mees],
         })
         return original(pipeline, window, accesses, latency)
 
@@ -221,7 +221,7 @@ class TestEndToEnd:
         for call in sampled:
             assert all(call["fast_meta"]), call
             if call["scheme"] != "shm_vl2":
-                assert all(call["direct"]), call
+                assert all(call["fused_miss"]), call
 
     def test_coverage_at_least_95_percent(self, profiled):
         """Every sample lands in exactly one layer, and a sampled run

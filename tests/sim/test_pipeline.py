@@ -11,14 +11,9 @@ import pytest
 from repro.common import constants
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
-from repro.core.mee import DRAMRequest, MEEResult, MemoryEncryptionEngine
+from repro.core.mee import MemoryEncryptionEngine
 from repro.sim.gpu import GPUSimulator
-from repro.sim.pipeline import (
-    L2_HIT_LATENCY,
-    MemoryPipeline,
-    TRAFFIC_KIND_COUNTERS,
-    register_traffic_kind,
-)
+from repro.sim.pipeline import L2_HIT_LATENCY, MemoryPipeline
 from tests.conftest import build_tiny_random, build_tiny_streaming
 
 
@@ -104,16 +99,15 @@ def test_custom_hooks_see_lifecycle_transitions():
 # ---------------------------------------------------------------------------
 
 def test_schedule_books_builtin_kinds_to_their_counters():
+    """The MEE's emission funnel books each built-in kind to its own
+    traffic counter."""
     sim = _sim()
-    result = MEEResult(requests=[
-        DRAMRequest(partition=0, size=128, is_write=False, kind="data"),
-        DRAMRequest(partition=0, size=8, is_write=False, kind="ctr",
-                    critical=True),
-        DRAMRequest(partition=0, size=8, is_write=True, kind="mac"),
-        DRAMRequest(partition=0, size=64, is_write=False, kind="bmt"),
-        DRAMRequest(partition=0, size=32, is_write=False, kind="mispred"),
-    ])
-    sim.pipeline.schedule(0.0, result)
+    place = sim.mees[0]._place
+    place(0, -1, 128, False, "data", False)
+    place(0, -1, 8, False, "ctr", True)
+    place(0, -1, 8, True, "mac", False)
+    place(0, -1, 64, False, "bmt", False)
+    place(0, -1, 32, False, "mispred", False)
     traffic = sim.pipeline.traffic
     assert traffic.data_bytes == 128
     assert traffic.counter_bytes == 8
@@ -124,32 +118,12 @@ def test_schedule_books_builtin_kinds_to_their_counters():
 
 def test_schedule_rejects_unregistered_kind():
     sim = _sim()
-    bogus = MEEResult(requests=[
-        DRAMRequest(partition=0, size=32, is_write=False, kind="ecc"),
-    ])
     # An unknown kind used to be silently booked as demand data,
     # corrupting every overhead ratio built from the breakdown.
-    with pytest.raises(ValueError, match="unregistered DRAM request kind"):
-        sim.pipeline.schedule(0.0, bogus)
-
-
-def test_register_traffic_kind_makes_kind_schedulable():
-    register_traffic_kind("ecc_test", "mac_bytes")
-    try:
-        sim = _sim()
-        sim.pipeline.schedule(0.0, MEEResult(requests=[
-            DRAMRequest(partition=0, size=48, is_write=False,
-                        kind="ecc_test"),
-        ]))
-        assert sim.pipeline.traffic.mac_bytes == 48
-    finally:
-        del TRAFFIC_KIND_COUNTERS["ecc_test"]
-
-
-def test_register_traffic_kind_validates_counter_attr():
-    with pytest.raises(ValueError, match="unknown TrafficCounters"):
-        register_traffic_kind("bogus_kind", "no_such_counter")
-    assert "bogus_kind" not in TRAFFIC_KIND_COUNTERS
+    with pytest.raises(ValueError, match="unknown DRAM transfer kind 'ecc'"):
+        sim.mees[0]._place(0, -1, 32, False, "ecc", False)
+    assert sim.pipeline.traffic.total_bytes == 0
+    assert sim.channels[0].stats.requests == 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +203,12 @@ def test_read_miss_displaced_dirty_data_is_written_back(drive, monkeypatch,
 
     def spy_read_miss(mee, *args):
         assert not pending, "displaced dirty data lines were dropped"
-        result = on_read_miss(mee, *args)
-        pending.extend(d.line_key for d in result.displaced_data)
-        displaced.extend(result.displaced_data)
-        return result
+        ctr_done = on_read_miss(mee, *args)
+        # The walk leaves its displaced lines on the MEE for the
+        # pipeline to write back.
+        pending.extend(d.line_key for d in mee.displaced)
+        displaced.extend(mee.displaced)
+        return ctr_done
 
     def spy_writeback(pipeline, issue, eviction):
         if eviction.key in pending:
