@@ -159,8 +159,9 @@ CTR_HAMMER_SPEC = {
 
 def _inspect_decisions(args: argparse.Namespace) -> int:
     """Live-run the requested schemes with a decision ledger attached
-    (the MEE keeps its fused fast paths) and render per-region decision
-    timelines plus the per-scheme accuracy/misprediction-cost tables."""
+    (the MEE takes its unledgered code path) and render per-region
+    decision timelines plus the per-scheme accuracy/misprediction-cost
+    tables."""
     from repro.eval.reporting import (
         format_decision_summary,
         format_decision_timeline,

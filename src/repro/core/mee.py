@@ -20,24 +20,17 @@ moment a policy emits it.  The functional encrypt/verify path lives in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.common import constants
 from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.common.types import Pattern, PredictionStats
-from repro.memory.cache import _Line, _popcount
 from repro.core.policies import build_policies
 from repro.core.readonly import ReadOnlyDetector
 from repro.core.streaming import StreamingDetector
 from repro.metadata import layout as mlayout
-from repro.metadata.caches import (
-    KIND_CTR,
-    KIND_MAC,
-    DisplacedData,
-    MetadataCaches,
-    MetaTransfer,
-)
+from repro.metadata.caches import KIND_CTR, KIND_MAC, MetadataCaches
 from repro.metadata.counters import CommonCounterTable, CounterFile, SharedCounter
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER
@@ -83,9 +76,7 @@ class MemoryEncryptionEngine:
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._observe = self.obs.enabled
         # Decision ledger: a *separate* channel from the observer.  It
-        # taps at decision granularity only, so — unlike an observer —
-        # it does NOT flip _observe and does not degrade _fast_meta:
-        # ledgered runs keep the fused fast paths.
+        # taps at decision granularity only and does not flip _observe.
         self.led = ledger if ledger is not None else NULL_LEDGER
         self._led = self.led.enabled
         # Cost scope (see _led_begin/_led_end): while _led_track is
@@ -95,8 +86,11 @@ class MemoryEncryptionEngine:
         self._led_bytes = 0.0
         self._led_transfers = 0
 
-        self.caches = MetadataCaches(config.mdc, partition_id,
-                                     observer=observer)
+        self.caches = MetadataCaches(
+            config.mdc, partition_id, self._place_meta,
+            sectors_on_miss=1 if self.scheme.sectored_counters else 4,
+            observer=observer)
+        self._meta_access = self.caches.access
         self.readonly = ReadOnlyDetector(self.scheme.detectors)
         self.streaming = StreamingDetector(self.scheme.detectors)
         self.counters = CounterFile()
@@ -113,7 +107,6 @@ class MemoryEncryptionEngine:
 
         # Per-scheme knobs resolved once (the per-access path reads
         # these locals instead of chasing scheme attribute chains).
-        self._meta_sectors_on_miss = 1 if self.scheme.sectored_counters else 4
         self._is_secure = self.scheme.is_secure
         self._local_metadata = self.scheme.local_metadata
         self._ro_region_size = self.scheme.detectors.readonly_region_size
@@ -123,20 +116,9 @@ class MemoryEncryptionEngine:
         #: Data blocks covered by one 32 B MAC sector (4 with the 8 B
         #: default, 8 with PSSM's 4 B truncation).
         self._mac_sector_coverage = constants.SECTOR_SIZE // self.scheme.mac_size
-        # Hot-path specialisation: when no observer is attached, the
-        # metadata helpers probe their MDC hit path inline (see
-        # _ctr_access) — the bookkeeping is bit-identical to
-        # SectoredCache.access's resident branch, and the instrumented
-        # layers only exist to emit events that are off here anyway.
-        self._fast_meta = not self._observe
-        # ... and an MDC miss runs fused (_meta_miss) when, in addition,
-        # the victim cache is off: a fused miss parks nothing in the L2.
-        self._fused_miss = self._fast_meta and not self.scheme.l2_victim_cache
         self._spb = constants.SECTORS_PER_BLOCK
         self._bs = constants.BLOCK_SIZE
         self._ctr_cov = mlayout.CTR_SECTOR_COVERAGE_BLOCKS
-        self._ctr_cache = self.caches.counter
-        self._mac_cache = self.caches.mac
         self._ro_opt = self.scheme.readonly_optimization
         # Bound policy entry points (the policies are fixed at
         # construction; binding skips two attribute chases per access).
@@ -150,8 +132,9 @@ class MemoryEncryptionEngine:
         self._cycle = 0.0
         self._ctr_done = 0.0
         #: Dirty data lines the last walk's victim insertions displaced
-        #: from the L2; the pipeline writes them back after the walk.
-        self.displaced: List[DisplacedData] = []
+        #: from the L2 (the caches' list); the pipeline writes them back
+        #: after the walk.
+        self.displaced = self.caches.displaced
         # Observed runs: the walk's placed transfers, reported to the
         # observer when the walk returns (see _report).
         self._placed: list = []
@@ -267,17 +250,6 @@ class MemoryEncryptionEngine:
         self._channels = channels
         self._traffic = traffic
 
-    def attach_ledger(self, ledger) -> None:
-        """Attach (or detach, with the NULL ledger) a decision ledger
-        after construction.  This leaves ``_observe`` / ``_fast_meta``
-        untouched: the ledger taps fire at decision granularity and
-        are legal on the fused fast paths."""
-        self.led = ledger if ledger is not None else NULL_LEDGER
-        self._led = self.led.enabled
-        self._led_track = False
-        self._led_bytes = 0.0
-        self._led_transfers = 0
-
     def _led_begin(self) -> None:
         """Open a decision cost scope: until :meth:`_led_end`, every
         transfer placed adds its bytes to the scope.  Scopes never nest
@@ -324,47 +296,12 @@ class MemoryEncryptionEngine:
 
     def _ctr_access(self, block_id: int, is_write: bool, fetch: bool) -> None:
         sector_id = block_id // self._ctr_cov
-        line_key = sector_id // self._spb
-        sector = sector_id % self._spb
-        if self._fast_meta:
-            # Resident-sector fast path, inlined from SectoredCache.
-            # access: a hit emits no transfers, walks no BMT and (with
-            # the observer off) has no other side effects.
-            cache = self._ctr_cache
-            lines = cache._sets[line_key % cache.num_sets]
-            line = lines.get(line_key)
-            bit = 1 << sector
-            if line is not None and line.valid_mask & bit:
-                cache.accesses += 1
-                cache.hits += 1
-                if is_write:
-                    line.dirty_mask |= bit
-                if next(reversed(lines)) is not line_key:
-                    del lines[line_key]
-                    lines[line_key] = line
-                return
-        if self._fused_miss:
-            self._meta_miss(self._ctr_cache, KIND_CTR, line_key, sector,
-                            is_write, fetch)
-        else:
-            transfers, displaced, hit = self.caches.access(
-                KIND_CTR, line_key, sector, is_write=is_write,
-                fetch_on_miss=fetch,
-                sectors_on_miss=self._meta_sectors_on_miss,
-            )
-            # Only a *read's* counter fetch blocks decryption; the write
-            # path's read-modify-write fetch is off the critical path.
-            self._emit(transfers, displaced,
-                       critical_kind=None if is_write else KIND_CTR)
-            if hit:
-                return
-        if fetch:
+        hit = self._meta_access(KIND_CTR, sector_id // self._spb,
+                                sector_id % self._spb, is_write, fetch)
+        if fetch and not hit:
             # Counter came from memory: its BMT path must be verified
             # (read) or will be re-hashed (write).
-            leaf = mlayout.bmt_leaf(block_id)
-            t, d = self.bmt.walk(self.caches, leaf, is_write=is_write,
-                                 sectors_on_miss=self._meta_sectors_on_miss)
-            self._emit(t, d)
+            self.bmt.walk(self.caches, mlayout.bmt_leaf(block_id), is_write)
 
     def _propagate_shared_counter(self, region_id: int) -> None:
         """Fig. 8: a write to a read-only region copies the shared
@@ -379,13 +316,8 @@ class MemoryEncryptionEngine:
             line_key = mlayout.counter_line(first_block) + i
             self.counters.set_major(line_key, self.shared_counter.value)
             for sector in range(constants.SECTORS_PER_BLOCK):
-                transfers, displaced, _ = self.caches.access(
-                    KIND_CTR, line_key, sector, is_write=True, fetch_on_miss=False,
-                )
-                self._emit(transfers, displaced)
-            t, d = self.bmt.walk(self.caches, line_key, is_write=True,
-                                 sectors_on_miss=self._meta_sectors_on_miss)
-            self._emit(t, d)
+                self._meta_access(KIND_CTR, line_key, sector, True, False)
+            self.bmt.walk(self.caches, line_key, True)
 
     def _reencrypt_line(self, ctr_line: int) -> None:
         """Minor-counter overflow: re-encrypt the line's whole coverage
@@ -395,142 +327,27 @@ class MemoryEncryptionEngine:
         self._emit_bulk(size, True, "ctr")
 
     # -- MAC cache helpers (called by the MAC policies) --------------------------
+    # MAC updates never read the old MAC (the new value is computed from
+    # the data): a write allocates without a fetch.
 
     def _blk_mac_access(self, block_id: int, is_write: bool,
                         as_mispred: bool = False) -> None:
         sector_id = block_id // self._mac_sector_coverage
-        line_key = sector_id // self._spb
-        sector = sector_id % self._spb
-        if self._fast_meta and self._mac_hit(line_key, sector, is_write):
-            return
-        # MAC updates never read the old MAC (the new value is computed
-        # from the data): write-allocate without fetch.
-        if self._fused_miss and not as_mispred:
-            self._meta_miss(self._mac_cache, KIND_MAC, line_key, sector,
-                            is_write, not is_write)
-            return
-        transfers, displaced, _ = self.caches.access(
-            KIND_MAC, line_key, sector, is_write=is_write,
-            fetch_on_miss=not is_write,
-            sectors_on_miss=self._meta_sectors_on_miss,
-        )
-        self._emit(transfers, displaced,
-                   mispred="mispred" if as_mispred else None)
+        self._meta_access(KIND_MAC, sector_id // self._spb,
+                          sector_id % self._spb, is_write, not is_write,
+                          "mispred" if as_mispred else None)
 
     def _chunk_mac_access(self, chunk_id: int, is_write: bool,
                           as_mispred: bool = False) -> None:
         sector_id = chunk_id // self._mac_sector_coverage
-        line_key = mlayout.CHUNK_MAC_KEY_BASE + sector_id // self._spb
-        sector = sector_id % self._spb
-        if self._fast_meta and self._mac_hit(line_key, sector, is_write):
-            return
-        if self._fused_miss and not as_mispred:
-            self._meta_miss(self._mac_cache, KIND_MAC, line_key, sector,
-                            is_write, not is_write)
-            return
-        transfers, displaced, _ = self.caches.access(
-            KIND_MAC, line_key, sector, is_write=is_write,
-            fetch_on_miss=not is_write,
-            sectors_on_miss=self._meta_sectors_on_miss,
-        )
-        self._emit(transfers, displaced,
-                   mispred="mispred" if as_mispred else None)
-
-    def _meta_miss(self, cache, kind: str, line_key: int, sector: int,
-                   is_write: bool, fetch: bool) -> None:
-        """Fused MDC miss: :meth:`SectoredCache.access`'s miss branch,
-        the whole-line fill and the fetch/eviction transfers collapse
-        into one pass with no intermediate objects — statistics, masks,
-        LRU motion, transfer order and timing identical to
-        ``caches.access`` + ``_emit`` on the same state (victim cache
-        off, so nothing is ever displaced and eviction valid-sector
-        counts are never read)."""
-        cache.accesses += 1
-        lines = cache._sets[line_key % cache.num_sets]
-        line = lines.get(line_key)
-        bit = 1 << sector
-        evict_key = 0
-        evict_dirty = 0
-        if line is None:
-            if len(lines) >= cache.ways:
-                victim_key = next(iter(lines))  # LRU = oldest insertion
-                victim = lines.pop(victim_key)
-                evict_dirty = _popcount(victim.dirty_mask)
-                if evict_dirty:
-                    cache.writebacks += evict_dirty
-                evict_key = victim_key
-            line = _Line(line_key)
-            lines[line_key] = line
-        if fetch:
-            cache.sector_fills += 1
-        line.valid_mask |= bit
-        if is_write:
-            line.dirty_mask |= bit
-        if next(reversed(lines)) is not line_key:
-            del lines[line_key]
-            lines[line_key] = line
-        sector_size = constants.SECTOR_SIZE
-        if fetch:
-            # Demand fetch first, displaced dirty line second — the
-            # order the object path appends its transfers.
-            size = sector_size
-            som = self._meta_sectors_on_miss
-            if som > 1:
-                size += (som - 1) * sector_size
-                # SectoredCache.fill_all_sectors, inlined: the line is
-                # resident and already MRU (the demand access above
-                # just touched it), so only masks and stats move.
-                full = cache._full_mask
-                present = _popcount(line.valid_mask & full)
-                spb = cache.sectors_per_block
-                cache.accesses += spb
-                cache.hits += present
-                cache.sector_fills += spb - present
-                line.valid_mask |= full
-            self._place_meta(kind, line_key, size, False,
-                             kind is KIND_CTR and not is_write)
-        if evict_dirty:
-            self._place_meta(kind, evict_key, evict_dirty * sector_size,
-                             True, False)
-
-    def _mac_hit(self, line_key: int, sector: int, is_write: bool) -> bool:
-        """Resident-sector fast path on the MAC cache (see
-        _ctr_access); True when the access was a hit and is done."""
-        cache = self._mac_cache
-        lines = cache._sets[line_key % cache.num_sets]
-        line = lines.get(line_key)
-        bit = 1 << sector
-        if line is None or not line.valid_mask & bit:
-            return False
-        cache.accesses += 1
-        cache.hits += 1
-        if is_write:
-            line.dirty_mask |= bit
-        if next(reversed(lines)) is not line_key:
-            del lines[line_key]
-            lines[line_key] = line
-        return True
+        self._meta_access(KIND_MAC,
+                          mlayout.CHUNK_MAC_KEY_BASE + sector_id // self._spb,
+                          sector_id % self._spb, is_write, not is_write,
+                          "mispred" if as_mispred else None)
 
     # ------------------------------------------------------------------------
     # Emission: every transfer is placed on its channel when emitted
     # ------------------------------------------------------------------------
-
-    def _emit(
-        self,
-        transfers: "Sequence[MetaTransfer]",
-        displaced: "Sequence[DisplacedData]",
-        critical_kind: Optional[str] = None,
-        mispred: Optional[str] = None,
-    ) -> None:
-        """Place the transfers of one object-path MDC access (or tree
-        walk) in order, and hand its displaced data lines to the
-        pipeline."""
-        for t in transfers:
-            self._place_meta(t.kind, t.line_key, t.size, t.is_write,
-                             t.kind == critical_kind and not t.is_write,
-                             mispred)
-        if displaced:
-            self.displaced.extend(displaced)
 
     def _emit_bulk(self, size: int, is_write: bool, kind: str) -> None:
         """One address-less bulk transfer on this partition's channel
@@ -635,8 +452,8 @@ class MemoryEncryptionEngine:
         was dirty)."""
         self._cycle = cycle
         last = 0.0
-        for t in self.caches.flush():
-            done = self._place_meta(t.kind, t.line_key, t.size, True, False)
+        for kind, line_key, size in self.caches.flush():
+            done = self._place_meta(kind, line_key, size, True, False)
             if done > last:
                 last = done
         if self._observe:

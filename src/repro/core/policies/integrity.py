@@ -11,11 +11,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.core.policies.base import IntegrityPolicy
 from repro.metadata.bmt import BMTWalker
-from repro.metadata.caches import DisplacedData, MetadataCaches, MetaTransfer
+from repro.metadata.caches import MetadataCaches
 
 
 class NullWalker:
@@ -28,15 +28,9 @@ class NullWalker:
         self.walks = 0
         self.nodes_touched = 0
 
-    def walk(
-        self,
-        caches: MetadataCaches,
-        leaf_index: int,
-        is_write: bool,
-        sectors_on_miss: int = 1,
-    ) -> Tuple[List[MetaTransfer], List[DisplacedData]]:
+    def walk(self, caches: MetadataCaches, leaf_index: int,
+             is_write: bool) -> None:
         self.walks += 1
-        return [], []
 
 
 class BMTIntegrityPolicy(IntegrityPolicy):

@@ -502,8 +502,8 @@ def run_campaign(
     ``kind="run"`` cell; the ledger summary rides home in the payload,
     lands in the manifest (and the telemetry store), and is emitted as
     one ``cell_decisions`` event per executed cell when ``events`` is
-    attached.  Decision taps fire at decision granularity, so ledgered
-    cells keep the MEE's fused fast paths.
+    attached.  Decision taps fire at decision granularity and leave the
+    MEE on the code path an unledgered cell takes.
 
     ``events`` (an :class:`repro.obs.events.EventLog`) records the
     campaign's structured telemetry — cell lifecycle, retries,

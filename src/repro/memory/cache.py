@@ -151,17 +151,12 @@ class SectoredCache:
         sector: int,
         is_write: bool = False,
         fetch_on_miss: bool = True,
-        set_filter=None,
     ) -> AccessResult:
         """Access one sector of one line.
 
         ``fetch_on_miss=False`` models produce-in-place writes (e.g. a
         freshly computed MAC): on a miss the sector is allocated
         valid+dirty without reading the old value from memory.
-
-        ``set_filter`` (predicate on set index) lets the victim-cache
-        controller exclude the sampled data-only sets from metadata
-        insertion.
         """
         if not 0 <= sector < self.sectors_per_block:
             raise ValueError(f"sector {sector} out of range for {self.name}")
@@ -185,10 +180,6 @@ class SectoredCache:
 
         eviction = None
         if line is None:
-            if set_filter is not None and not set_filter(set_idx):
-                # Insertion suppressed (e.g. data-only sampled set):
-                # treat as an uncached pass-through access.
-                return _MISS_FETCH if fetch_on_miss else _MISS_NO_FETCH
             line, eviction = self._allocate(lines, key)
         if fetch_on_miss:
             self.sector_fills += 1
@@ -357,7 +348,6 @@ class SectoredCache:
         key: Hashable,
         valid_sectors: int,
         dirty: bool = False,
-        set_filter=None,
     ) -> Optional[Eviction]:
         """Insert a whole line (victim-cache fill path).
 
@@ -366,10 +356,7 @@ class SectoredCache:
         accounting this model performs.
         """
         valid_sectors = min(valid_sectors, self.sectors_per_block)
-        set_idx = self.set_index(key)
-        if set_filter is not None and not set_filter(set_idx):
-            return None
-        lines = self._sets[set_idx]
+        lines = self._sets[self.set_index(key)]
         line = lines.get(key)
         eviction = None
         if line is None:

@@ -7,7 +7,6 @@ from repro.metadata.caches import (
     KIND_MAC,
     DisplacedData,
     MetadataCaches,
-    MetaTransfer,
 )
 from repro.metadata.counters import (
     MINOR_OVERFLOW,
@@ -38,7 +37,6 @@ __all__ = [
     "KIND_MAC",
     "DisplacedData",
     "MetadataCaches",
-    "MetaTransfer",
     "MINOR_OVERFLOW",
     "CommonCounterTable",
     "CounterFile",

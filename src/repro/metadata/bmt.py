@@ -19,11 +19,11 @@ that its schemes are integrity-tree independent:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.common import constants
-from repro.metadata.caches import DisplacedData, MetadataCaches, MetaTransfer, KIND_BMT
-from repro.metadata.layout import BMT_LEVEL_KEY_BASE
+from repro.metadata.caches import KIND_BMT, MetadataCaches
+from repro.metadata.layout import bmt_levels, bmt_node_sector
 
 
 @lru_cache(maxsize=None)
@@ -33,29 +33,17 @@ def _path_refs(levels: int, arity: int,
     path, bottom-up, excluding the on-chip root (level ``levels``).
 
     Pure tree-layout arithmetic, so it is memoised process-wide: a walk
-    becomes one cached lookup plus a single batched cache probe instead
-    of per-level division chains.  The key space is bounded by the
-    counter lines a workload actually touches.
+    becomes one cached lookup instead of per-level division chains.
+    The key space is bounded by the counter lines a workload actually
+    touches.
     """
-    spb = constants.SECTORS_PER_BLOCK
     refs = []
     node = leaf_index
     for level in range(1, levels):
         node //= arity
-        refs.append((level * BMT_LEVEL_KEY_BASE + node // (spb * spb),
-                     (node // spb) % spb))
+        ref = bmt_node_sector(level, node)
+        refs.append((ref.line_key, ref.sector))
     return tuple(refs)
-
-
-def tree_levels(protected_bytes: int, arity: int) -> int:
-    """Levels above the leaves for a protected range."""
-    leaves = max(1, protected_bytes // (128 * constants.BLOCK_SIZE))
-    levels = 0
-    span = leaves
-    while span > 1:
-        span = (span + arity - 1) // arity
-        levels += 1
-    return max(1, levels)
 
 
 class BMTWalker:
@@ -71,17 +59,12 @@ class BMTWalker:
             raise ValueError("tree arity must be at least 2")
         self.arity = arity
         self.eager_writes = eager_writes
-        self.levels = tree_levels(protected_bytes, arity)
+        self.levels = bmt_levels(protected_bytes, arity)
         self.walks = 0
         self.nodes_touched = 0
 
-    def walk(
-        self,
-        caches: MetadataCaches,
-        leaf_index: int,
-        is_write: bool,
-        sectors_on_miss: int = 1,
-    ) -> Tuple[List[MetaTransfer], List[DisplacedData]]:
+    def walk(self, caches: MetadataCaches, leaf_index: int,
+             is_write: bool) -> None:
         """Verify (read) or update (write) the path of one leaf.
 
         Reads stop at the first level that hits in the tree cache —
@@ -91,13 +74,9 @@ class BMTWalker:
         itself is on chip and never generates traffic.
         """
         self.walks += 1
-        transfers: List[MetaTransfer] = []
-        displaced: List[DisplacedData] = []
-        refs = _path_refs(self.levels, self.arity, leaf_index)
-        if refs:
-            stop_at_hit = not (is_write and self.eager_writes)
-            self.nodes_touched += caches.access_path(
-                KIND_BMT, refs, is_write, sectors_on_miss, stop_at_hit,
-                transfers, displaced,
-            )
-        return transfers, displaced
+        stop_at_hit = not (is_write and self.eager_writes)
+        access = caches.access
+        for key, sector in _path_refs(self.levels, self.arity, leaf_index):
+            self.nodes_touched += 1
+            if access(KIND_BMT, key, sector, is_write, True) and stop_at_hit:
+                break

@@ -9,36 +9,17 @@ partition's L2 and misses probe the L2 before going to DRAM.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common import constants
 from repro.common.config import MDCConfig
-from repro.memory.cache import Eviction, SectoredCache, stable_hash
+from repro.memory.cache import SectoredCache, _Line, _popcount
 from repro.memory.l2 import PartitionL2
 from repro.obs.observer import NULL_OBSERVER
 
 KIND_CTR = "ctr"
 KIND_MAC = "mac"
 KIND_BMT = "bmt"
-
-
-class MetaTransfer:
-    """One DRAM transfer caused by metadata handling (``__slots__``:
-    one is allocated per MDC miss and per dirty metadata eviction)."""
-
-    __slots__ = ("kind", "line_key", "size", "is_write")
-
-    def __init__(self, kind: str, line_key: int, size: int,
-                 is_write: bool) -> None:
-        self.kind = kind  # ctr / mac / bmt
-        self.line_key = line_key
-        self.size = size
-        self.is_write = is_write
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"MetaTransfer(kind={self.kind!r}, "
-                f"line_key={self.line_key}, size={self.size}, "
-                f"is_write={self.is_write})")
 
 
 class DisplacedData:
@@ -52,17 +33,19 @@ class DisplacedData:
         self.dirty_sectors = dirty_sectors
 
 
-#: Shared empty result sequences: the overwhelmingly common MDC hit
-#: causes no transfers and displaces nothing, so the hit fast path
-#: returns these instead of allocating two lists per access.
-_NO_TRANSFERS: Sequence[MetaTransfer] = ()
-_NO_DISPLACED: Sequence[DisplacedData] = ()
-
-
 class MetadataCaches:
-    """Counter, MAC and BMT caches of one memory partition."""
+    """Counter, MAC and BMT caches of one memory partition.
+
+    ``place(kind, line_key, size, is_write, critical, booked)`` puts one
+    metadata transfer on its DRAM channel; :meth:`access` calls it for
+    every transfer a miss causes, the moment it is decided.
+    ``sectors_on_miss`` models non-sectored metadata handling (Naive
+    fetches the whole 128 B line on a miss; PSSM fetches one 32 B
+    sector).
+    """
 
     def __init__(self, mdc: MDCConfig, partition_id: int,
+                 place: Callable[..., float], sectors_on_miss: int = 1,
                  observer=None) -> None:
         self.partition_id = partition_id
         self.counter = SectoredCache(mdc.counter, name=f"ctr-p{partition_id}")
@@ -73,6 +56,11 @@ class MetadataCaches:
             KIND_MAC: self.mac,
             KIND_BMT: self.bmt,
         }
+        self._place = place
+        self._sectors_on_miss = sectors_on_miss
+        #: Dirty data lines that victim insertions displaced from the
+        #: L2; the owner writes them back and clears the list.
+        self.displaced: List[DisplacedData] = []
         # Victim-cache plumbing (set by the partition when SHM_vL2).
         self.l2: Optional[PartitionL2] = None
         self.victim_enabled = lambda: False
@@ -88,153 +76,101 @@ class MetadataCaches:
             raise ValueError(f"unknown metadata kind: {kind}")
         return cache
 
-    def access(
-        self,
-        kind: str,
-        line_key: int,
-        sector: int,
-        is_write: bool = False,
-        fetch_on_miss: bool = True,
-        sectors_on_miss: int = 1,
-    ) -> Tuple[Sequence[MetaTransfer], Sequence[DisplacedData], bool]:
-        """Access one metadata sector.
+    def access(self, kind: str, line_key: int, sector: int, is_write: bool,
+               fetch: bool, booked: Optional[str] = None) -> bool:
+        """Access one metadata sector; returns True on a hit.
 
-        ``sectors_on_miss`` models non-sectored metadata handling
-        (Naive fetches the whole 128 B line on a miss; PSSM fetches one
-        32 B sector).
-
-        Returns (DRAM transfers, displaced dirty data lines, hit).
-        The first transfer, when present and a read, is the demand
-        fetch — the caller marks counter fetches as decrypt-critical.
-        The sequences are shared immutable empties when nothing
-        happened — callers must not mutate them.
+        A miss allocates the sector (``fetch=False`` models
+        produce-in-place writes: the sector becomes valid without
+        reading the old value), then places its transfers in order: the
+        demand fetch — unless the L2 victim store serves it — and the
+        evicted line's write-back, or the write-backs its parking in
+        the L2 displaces.  Only a counter read's fetch is
+        decrypt-critical; ``booked`` re-books every transfer of the
+        access under another traffic class (misprediction re-fetches).
         """
         cache = self._caches.get(kind)
         if cache is None:
             raise ValueError(f"unknown metadata kind: {kind}")
+        # SectoredCache.access, carried inline: every metadata access
+        # of every run comes through here.
+        cache.accesses += 1
+        lines = cache._sets[line_key % cache.num_sets]
+        line = lines.get(line_key)
+        bit = 1 << sector
+        if line is not None and line.valid_mask & bit:
+            cache.hits += 1
+            if is_write:
+                line.dirty_mask |= bit
+            if next(reversed(lines)) is not line_key:
+                del lines[line_key]
+                lines[line_key] = line
+            if self._observe:
+                self.obs.mdc_access(self.now, self.partition_id, kind, True)
+            return True
 
-        result = cache.access(line_key, sector, is_write=is_write,
-                              fetch_on_miss=fetch_on_miss)
+        evicted = None
+        if line is None:
+            if len(lines) >= cache.ways:
+                evicted = lines.pop(next(iter(lines)))  # LRU = oldest
+                evicted_dirty = _popcount(evicted.dirty_mask)
+                if evicted_dirty:
+                    cache.writebacks += evicted_dirty
+            line = _Line(line_key)
+            lines[line_key] = line
+        if fetch:
+            cache.sector_fills += 1
+        line.valid_mask |= bit
+        if is_write:
+            line.dirty_mask |= bit
+        if next(reversed(lines)) is not line_key:
+            del lines[line_key]
+            lines[line_key] = line
         if self._observe:
-            self.obs.mdc_access(self.now, self.partition_id, kind, result.hit)
-        if result.hit:
-            return _NO_TRANSFERS, _NO_DISPLACED, True
+            self.obs.mdc_access(self.now, self.partition_id, kind, False)
 
-        transfers: List[MetaTransfer] = []
-        displaced: List[DisplacedData] = []
-        if result.needs_fetch:
-            served_by_victim = False
-            if self.victim_enabled() and self.l2 is not None:
-                served_by_victim = self._victim_fetch(kind, line_key, sector, cache)
-            if not served_by_victim:
-                extra = 0
-                if sectors_on_miss > 1:
-                    # Whole-line fill: account the additional sectors.
-                    extra = (sectors_on_miss - 1) * constants.SECTOR_SIZE
-                    self._fill_line(cache, line_key)
-                transfers.append(
-                    MetaTransfer(kind, line_key, constants.SECTOR_SIZE + extra,
-                                 is_write=False)
-                )
-
-        if result.eviction is not None:
-            transfers_e, displaced_e = self._handle_eviction(kind, result.eviction)
-            transfers.extend(transfers_e)
-            displaced.extend(displaced_e)
-        return transfers, displaced, False
-
-    def access_path(
-        self,
-        kind: str,
-        refs: Sequence[Tuple[int, int]],
-        is_write: bool,
-        sectors_on_miss: int,
-        stop_at_hit: bool,
-        transfers: List[MetaTransfer],
-        displaced: List[DisplacedData],
-    ) -> int:
-        """One-pass probe of an ordered metadata path (a BMT walk).
-
-        Accesses each ``(line_key, sector)`` ref in order, appending
-        DRAM transfers / displaced dirty data to the caller's lists;
-        when ``stop_at_hit`` the walk ends after the first hit (that
-        ancestor is already verified on chip).  Statistics, LRU order,
-        victim interactions and observer events are identical to the
-        equivalent per-node :meth:`access` loop — the hit fast path
-        below replicates :meth:`SectoredCache.access`'s resident-sector
-        branch inline, misses fall back to the full path.  Returns the
-        number of nodes probed.  Refs must carry in-range sectors
-        (tree layout math guarantees it).
-        """
-        cache = self._caches.get(kind)
-        if cache is None:
-            raise ValueError(f"unknown metadata kind: {kind}")
-        sets = cache._sets
-        num_sets = cache.num_sets
-        observe = self._observe
-        touched = 0
-        for key, sector in refs:
-            touched += 1
-            lines = sets[key % num_sets if type(key) is int
-                         else cache.set_index(key)]
-            line = lines.get(key)
-            bit = 1 << sector
-            if line is not None and line.valid_mask & bit:
-                cache.accesses += 1
-                cache.hits += 1
-                if is_write:
-                    line.dirty_mask |= bit
-                if next(reversed(lines)) is not key:
-                    del lines[key]
-                    lines[key] = line
-                if observe:
-                    self.obs.mdc_access(self.now, self.partition_id, kind,
-                                        True)
-                if stop_at_hit:
-                    break
-                continue
-            t, d, hit = self.access(kind, key, sector, is_write, True,
-                                    sectors_on_miss)
-            if t:
-                transfers.extend(t)
-            if d:
-                displaced.extend(d)
-            if hit and stop_at_hit:  # pragma: no cover - resident probe
-                break  # already caught by the fast path above
-        return touched
+        sector_size = constants.SECTOR_SIZE
+        if fetch and not (self.l2 is not None and self.victim_enabled()
+                          and self._victim_fetch(kind, line_key, sector,
+                                                 cache)):
+            size = sector_size
+            if self._sectors_on_miss > 1:
+                size *= self._sectors_on_miss
+                cache.fill_all_sectors(line_key)
+            self._place(kind, line_key, size, False,
+                        kind == KIND_CTR and not is_write, booked)
+        if evicted is not None:
+            if (self.l2 is not None and self.victim_enabled()
+                    and evicted.valid_mask):
+                self._park(kind, evicted, evicted_dirty, booked)
+            elif evicted_dirty:
+                self._place(kind, evicted.key, evicted_dirty * sector_size,
+                            True, False, booked)
+        return False
 
     def clean(self, kind: str, line_key: int, sector: int) -> bool:
         """Drop a resident sector's dirty bit (write traffic averted)."""
         return self._cache_for(kind).clean(line_key, sector)
 
-    def flush(self) -> List[MetaTransfer]:
-        """End-of-run flush of all dirty metadata (bypasses the victim
-        path: at context teardown everything must reach DRAM)."""
-        transfers = []
+    def flush(self) -> List[Tuple[str, int, int]]:
+        """End-of-run flush of all dirty metadata, as ``(kind, line_key,
+        bytes)`` write-backs (bypasses the victim path: at context
+        teardown everything must reach DRAM)."""
+        writes = []
         for kind in (KIND_CTR, KIND_MAC, KIND_BMT):
             for ev in self._cache_for(kind).flush():
                 if ev.dirty_sectors:
-                    transfers.append(
-                        MetaTransfer(kind, ev.key,
-                                     ev.dirty_sectors * constants.SECTOR_SIZE,
-                                     is_write=True)
-                    )
-        return transfers
+                    writes.append((kind, ev.key,
+                                   ev.dirty_sectors * constants.SECTOR_SIZE))
+        return writes
 
-    # -- Internals ------------------------------------------------------------
-
-    def _fill_line(self, cache: SectoredCache, line_key: int) -> None:
-        """Mark every sector of a just-allocated line resident (the
-        non-sectored whole-line fill)."""
-        cache.fill_all_sectors(line_key)
+    # -- Victim cache -----------------------------------------------------------
 
     def _victim_fetch(
         self, kind: str, line_key: int, sector: int, cache: SectoredCache
     ) -> bool:
         """Try to serve a miss from the L2 victim store."""
-        bank = self.l2.bank_for(
-            line_key if isinstance(line_key, int) else stable_hash(line_key)
-        )
+        bank = self.l2.bank_for(line_key)
         hit = bank.victim_probe((kind, line_key), sector)
         if self._observe:
             self.obs.victim_probe(self.now, self.partition_id, hit)
@@ -246,44 +182,20 @@ class MetadataCaches:
             cache.access(line_key, sector, is_write=True, fetch_on_miss=False)
         return True
 
-    def _handle_eviction(
-        self, kind: str, eviction: Eviction
-    ) -> Tuple[List[MetaTransfer], List[DisplacedData]]:
-        transfers: List[MetaTransfer] = []
-        displaced: List[DisplacedData] = []
-        if self.victim_enabled() and self.l2 is not None and eviction.valid_sectors:
-            key = eviction.key
-            bank = self.l2.bank_for(
-                key if isinstance(key, int) else stable_hash(key)
-            )
-            for disp in bank.victim_insert(
-                (kind, key), eviction.valid_sectors, dirty=eviction.dirty_sectors > 0
-            ):
-                transfers_d, displaced_d = self._classify_displaced(disp)
-                transfers.extend(transfers_d)
-                displaced.extend(displaced_d)
-            return transfers, displaced
-        if eviction.dirty_sectors:
-            transfers.append(
-                MetaTransfer(kind, eviction.key,
-                             eviction.dirty_sectors * constants.SECTOR_SIZE,
-                             is_write=True)
-            )
-        return transfers, displaced
-
-    def _classify_displaced(
-        self, disp: Eviction
-    ) -> Tuple[List[MetaTransfer], List[DisplacedData]]:
-        """A line displaced from the L2 by a victim insertion is either
-        a dirty victim metadata line (write it to DRAM) or a dirty data
-        line (hand it back for the secure write path)."""
-        key = disp.key
-        if isinstance(key, tuple) and len(key) == 2 and key[0] == "v":
-            kind, line_key = key[1]
-            return (
-                [MetaTransfer(kind, line_key,
-                              disp.dirty_sectors * constants.SECTOR_SIZE,
-                              is_write=True)],
-                [],
-            )
-        return [], [DisplacedData(line_key=key, dirty_sectors=disp.dirty_sectors)]
+    def _park(self, kind: str, evicted: _Line, dirty: int,
+              booked: Optional[str]) -> None:
+        """Park an evicted line in the L2.  A line the insertion
+        displaces is either a dirty victim metadata line (written to
+        DRAM as its own kind) or a dirty data line (handed back on
+        :attr:`displaced` for the secure write path)."""
+        key = evicted.key
+        for disp in self.l2.bank_for(key).victim_insert(
+                (kind, key), _popcount(evicted.valid_mask), dirty=dirty > 0):
+            dkey = disp.key
+            if isinstance(dkey, tuple) and len(dkey) == 2 and dkey[0] == "v":
+                dkind, dline = dkey[1]
+                self._place(dkind, dline,
+                            disp.dirty_sectors * constants.SECTOR_SIZE,
+                            True, False, booked)
+            else:
+                self.displaced.append(DisplacedData(dkey, disp.dirty_sectors))

@@ -123,13 +123,14 @@ def bmt_node_sector(level: int, node_id: int) -> SectorRef:
     )
 
 
-def bmt_levels(protected_bytes: int) -> int:
-    """Number of BMT levels above the leaves for a protected range."""
+def bmt_levels(protected_bytes: int, arity: int = constants.BMT_ARITY) -> int:
+    """Number of tree levels above the leaves (one per counter line)
+    for a protected range, at the given tree arity."""
     leaves = max(1, protected_bytes // (CTR_LINE_COVERAGE_BLOCKS * constants.BLOCK_SIZE))
     levels = 0
     span = leaves
     while span > 1:
-        span = (span + constants.BMT_ARITY - 1) // constants.BMT_ARITY
+        span = (span + arity - 1) // arity
         levels += 1
     return max(1, levels)
 

@@ -11,11 +11,11 @@ shared-counter propagation, verdict remediation, mispredict rechecks)
 plus the analytic stall-cycle equivalent of that traffic.
 
 Decisions fire at decision granularity — thousands of events per run,
-not millions of accesses — so, unlike the per-access
-:class:`~repro.obs.observer.Observer`, an attached ledger does **not**
-switch the MEE off its fused fast paths.  Instrumented code snapshots
-``ledger.enabled`` into a local boolean (``mee._led``) and pays one
-branch per decision site; :data:`NULL_LEDGER` is the disabled default,
+not millions of accesses, unlike the per-access
+:class:`~repro.obs.observer.Observer` — and an attached ledger leaves
+the MEE on the code path an unledgered run takes.  Instrumented code
+snapshots ``ledger.enabled`` into a local boolean (``mee._led``) and
+pays one branch per decision site; :data:`NULL_LEDGER` is the disabled default,
 mirroring ``NULL_OBSERVER``.
 
 Every row also carries the region's online **feature vector**,

@@ -87,15 +87,18 @@ def _setup_mdc_lookup() -> Tuple[Callable[[], Any], int]:
     from repro.common.config import MDCConfig
     from repro.metadata.caches import KIND_CTR, MetadataCaches
 
-    caches = MetadataCaches(MDCConfig(), partition_id=0)
+    def place(kind, line_key, size, is_write, critical, booked=None):
+        return 0.0  # the warm-up misses' fetches go nowhere
+
+    caches = MetadataCaches(MDCConfig(), partition_id=0, place=place)
     keys = [i % 8 for i in range(_BATCH)]  # resident working set
     for key in set(keys):
-        caches.access(KIND_CTR, key, 0)
+        caches.access(KIND_CTR, key, 0, False, True)
 
     def op() -> None:
         access = caches.access
         for key in keys:
-            access(KIND_CTR, key, 0)
+            access(KIND_CTR, key, 0, False, True)
 
     return op, len(keys)
 
@@ -114,8 +117,8 @@ def _setup_policy(scheme: str, **overrides: Any) -> Callable[[], Tuple[Callable[
         gpu = config.gpu
         mapper = AddressMapper(gpu.num_partitions, gpu.interleave_bytes)
         mee = MemoryEncryptionEngine(0, config, mapper, SharedCounter())
-        # Real FIFO channels, so the cells time the fused path an
-        # unobserved run takes (transfers placed as they are emitted).
+        # Real FIFO channels, so the cells time the inlined occupancy
+        # an unobserved run takes (transfers placed as they are emitted).
         mee.attach_channels(
             [DRAMChannel(gpu.dram_bytes_per_cycle, gpu.dram_latency,
                          gpu.dram_request_overhead, gpu.dram_turnaround,

@@ -4,7 +4,7 @@
 while simulating?" — the complement of the :mod:`repro.obs` layer,
 which observes simulated cycles.  It is out of band: nothing in the
 simulator knows it exists, so a sampled run takes exactly the code
-path (batch loop, fused metadata hits and misses) of an unsampled
+path (batch loop, metadata caches, DRAM placement) of an unsampled
 one.
 
 While the context is open, ``setitimer(ITIMER_PROF)`` delivers a

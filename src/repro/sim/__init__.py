@@ -3,7 +3,7 @@
 from repro.sim.checker import FunctionalReplay
 from repro.sim.events import CompletionWindow
 from repro.sim.gpu import GPUSimulator, L2_HIT_LATENCY
-from repro.sim.parallel import JobOutcome, MatrixResult, execute_jobs, run_matrix
+from repro.sim.parallel import JobOutcome, execute_jobs
 from repro.sim.profiling import TraceProfile
 from repro.sim.runner import Calibration, Runner, shared_runner
 from repro.sim.stats import L2Stats, RunResult, geomean, mean
@@ -14,9 +14,7 @@ __all__ = [
     "GPUSimulator",
     "L2_HIT_LATENCY",
     "JobOutcome",
-    "MatrixResult",
     "execute_jobs",
-    "run_matrix",
     "TraceProfile",
     "Calibration",
     "Runner",

@@ -3,17 +3,13 @@
 The simulator is single-threaded Python; a full-scale sweep — every
 figure of the paper's evaluation is a (workload x scheme) matrix — is
 embarrassingly parallel across cells.  This module provides the
-process-pool substrate the campaign engine
-(:mod:`repro.eval.campaign`) and the legacy matrix sweep build on:
-
-* :func:`execute_jobs` — run arbitrary picklable jobs on a
-  ``ProcessPoolExecutor`` with per-job timeouts (enforced inside the
-  worker via ``SIGALRM``, so a runaway cell aborts itself), bounded
-  retries with linear backoff, and recovery from killed worker
-  processes (a ``BrokenProcessPool`` rebuilds the pool and re-queues
-  the unfinished jobs instead of aborting the sweep).
-* :func:`run_matrix` — the original one-shot (workload x scheme)
-  sweep, now expressed on top of :func:`execute_jobs`.
+process-pool substrate the campaign engine (:mod:`repro.eval.campaign`)
+builds on: :func:`execute_jobs` runs arbitrary picklable jobs on a
+``ProcessPoolExecutor`` with per-job timeouts (enforced inside the
+worker via ``SIGALRM``, so a runaway cell aborts itself), bounded
+retries with linear backoff, and recovery from killed worker processes
+(a ``BrokenProcessPool`` rebuilds the pool and re-queues the unfinished
+jobs instead of aborting the sweep).
 
 Failures never raise out of :func:`execute_jobs`: every job ends in a
 :class:`JobOutcome` whose ``status`` is ``"ok"`` or ``"failed"`` and
@@ -29,12 +25,8 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.common.config import SimConfig
-from repro.common.types import Scheme
-from repro.sim.stats import RunResult
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class JobTimeout(Exception):
@@ -230,101 +222,3 @@ def execute_jobs(
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
     return outcomes  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# The legacy one-shot (workload x scheme) matrix sweep
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MatrixResult:
-    """Results of a (workload x scheme) sweep.
-
-    The container behind Fig. 12-style suite summaries: ``baselines``
-    holds each workload's calibrated unprotected run (the Fig. 12
-    normaliser) and ``runs`` the per-(workload, scheme) results.
-    """
-
-    #: workload -> baseline RunResult.
-    baselines: Dict[str, RunResult] = field(default_factory=dict)
-    #: (workload, scheme) -> RunResult.
-    runs: Dict[Tuple[str, Scheme], RunResult] = field(default_factory=dict)
-
-    def normalized_ipc(self, workload: str, scheme: Scheme) -> float:
-        """IPC normalised to the unprotected baseline (Fig. 12 metric,
-        1.0 = no slowdown)."""
-        return self.runs[(workload, scheme)].normalized_ipc(
-            self.baselines[workload]
-        )
-
-    def average_overhead(self, scheme: Union[Scheme, str]) -> float:
-        """Mean performance overhead (1 - normalised IPC) of one scheme
-        across every workload in the matrix.
-
-        Accepts a :class:`Scheme` or its string value: results that
-        travelled through the JSON result store come back with value
-        strings, and schemes are matched by *equality*, never identity,
-        so deserialized/cached entries aggregate correctly.
-        """
-        target = Scheme(scheme)
-        values = [
-            1.0 - self.normalized_ipc(name, s)
-            for (name, s) in self.runs
-            if Scheme(s) == target
-        ]
-        return sum(values) / len(values) if values else 0.0
-
-
-def _worker(args) -> Tuple[str, RunResult, List[Tuple[str, RunResult]]]:
-    """Runs one workload's whole scheme list in a fresh process."""
-    name, scheme_values, scale, config = args
-    from repro.sim.runner import Runner
-
-    runner = Runner(config=config, scale=scale)
-    baseline = runner.baseline(name)
-    results = []
-    for value in scheme_values:
-        scheme = Scheme(value)
-        results.append((value, runner.run(name, scheme)))
-    return name, baseline, results
-
-
-def run_matrix(
-    workloads: List[str],
-    schemes: List[Scheme],
-    scale: float = 1.0,
-    jobs: int = 4,
-    config: Optional[SimConfig] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-) -> MatrixResult:
-    """Simulate every (workload, scheme) pair, ``jobs`` workloads at a
-    time, and merge the per-worker results into one
-    :class:`MatrixResult`.
-
-    Each worker process owns a private :class:`repro.sim.runner.Runner`
-    (calibration + all schemes for one workload), so no state is
-    shared.  Unlike the campaign engine this sweep is all-or-nothing:
-    a workload that still fails after ``retries`` extra attempts (or
-    exceeds ``timeout`` seconds) raises ``RuntimeError``, preserving
-    the original fail-fast contract.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    scheme_values = [s.value for s in schemes]
-    tasks = [(name, scheme_values, scale, config) for name in workloads]
-
-    out = MatrixResult()
-    outcomes = execute_jobs(_worker, tasks, jobs=jobs, timeout=timeout,
-                            retries=retries)
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(
-                f"workload {workloads[outcome.index]!r} failed "
-                f"({outcome.reason}):\n{outcome.error}"
-            )
-        name, baseline, results = outcome.value
-        out.baselines[name] = baseline
-        for value, result in results:
-            out.runs[(name, Scheme(value))] = result
-    return out

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny workloads, a session-scoped runner, registry
-hygiene, the per-access reference drive of the batch loop, and a
-recording DRAM channel for standalone MEEs."""
+hygiene, the per-access reference drive of the batch loop, a recording
+DRAM channel for standalone MEEs and a recording placement for
+standalone metadata caches."""
 
 import contextlib
 from collections import namedtuple
@@ -90,6 +91,21 @@ def record_transfers(mee) -> list:
     mee.attach_channels([RecordingChannel(p, log) for p in range(partitions)],
                         TrafficCounters())
     return log
+
+
+#: One metadata transfer as :class:`MetadataCaches` handed it to its
+#: placement.
+Placed = namedtuple("Placed", "kind line_key size is_write critical booked")
+
+
+class RecordingPlace(list):
+    """A ``place`` for standalone :class:`MetadataCaches`: logs each
+    transfer it is handed as a :class:`Placed` and completes it at 0."""
+
+    def __call__(self, kind, line_key, size, is_write, critical,
+                 booked=None) -> float:
+        self.append(Placed(kind, line_key, size, is_write, critical, booked))
+        return 0.0
 
 
 def placed(entry, *args) -> list:

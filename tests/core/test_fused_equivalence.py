@@ -1,14 +1,26 @@
-"""The MEE's fused metadata paths against its object path.
+"""Metadata placement of a standalone MEE, observed and unobserved.
 
-An unobserved MEE probes MDC hits inline and runs MDC misses fused
-(``_meta_miss``, victim cache off); an observed MEE takes every
-metadata access through :meth:`MetadataCaches.access`.  Over the same
-seeded access stream both must place the same transfers in the same
-order, book the same traffic and leave the metadata caches in the same
-state.
+Observed and unobserved MEEs must place the same transfers in the same
+order, book the same traffic and leave the metadata caches (and, with
+the victim cache on, the L2 and the displaced data lines) in the same
+state over the same seeded access stream.
+
+Both now reach the metadata caches through the same code, so comparing
+them alone cannot catch a change to that code.  Every run's output is
+therefore also pinned to a digest captured from the earlier
+three-path implementation (``metadata_pins.json``): every secure scheme,
+observed and unobserved, plus ``shm_vl2`` with a live L2 victim store
+whose banks start full of dirty data lines.  Regenerate the pins with
+``PYTHONPATH=src python -m tests.core.test_fused_equivalence`` only
+when a change is meant to move metadata placement.
 """
 
+import dataclasses
+import functools
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +28,17 @@ from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.core.mee import MemoryEncryptionEngine
 from repro.core.policies.registry import available_schemes
+from repro.memory.l2 import PartitionL2
 from repro.metadata.counters import SharedCounter
 from repro.obs.observer import Observer
 from tests.conftest import record_transfers
 
 SECURE_SCHEMES = [name for name in available_schemes()
                   if name != "unprotected"]
+#: The victim-store run: ``shm_vl2`` wired to a pre-filled L2.
+VICTIM_RUN = "shm_vl2+victim"
+RUNS = SECURE_SCHEMES + [VICTIM_RUN]
+PINS_PATH = Path(__file__).with_name("metadata_pins.json")
 #: Local footprint of the stream: far beyond what the 2 KB MDCs (and
 #: the BMT cache) cover.
 FOOTPRINT = 256 << 20
@@ -59,12 +76,30 @@ def _cache_state(cache) -> tuple:
              for lines in cache._sets for key, line in lines.items()])
 
 
-def _run(scheme: str, observer, stream: list) -> dict:
+def _victim_store(config: SimConfig) -> PartitionL2:
+    """Partition 0's L2 with every set its data lines reach full of
+    dirty data, so parked metadata lines displace some of them."""
+    l2 = PartitionL2(config.gpu, 0)
+    for key in range(len(l2.banks) * config.gpu.l2_bank_size // 128):
+        cache = l2.bank_for(key).cache
+        cache.insert_line(key, cache.sectors_per_block, dirty=True)
+    return l2
+
+
+@functools.lru_cache(maxsize=None)
+def _run(run: str, observed: bool) -> dict:
+    scheme = run.split("+")[0]
+    stream = _stream(seed=sum(map(ord, scheme)))
     config = SimConfig().with_scheme(scheme)
     mapper = AddressMapper(config.gpu.num_partitions,
                            config.gpu.interleave_bytes)
     mee = MemoryEncryptionEngine(0, config, mapper, SharedCounter(),
-                                 observer=observer)
+                                 observer=Observer() if observed else None)
+    l2 = None
+    if run == VICTIM_RUN:
+        l2 = _victim_store(config)
+        mee.caches.l2 = l2
+        mee.caches.victim_enabled = lambda: True
     log = record_transfers(mee)
     mee.on_host_copy(0, FOOTPRINT // 2, at_init=True)
     ctr_done = []
@@ -85,21 +120,65 @@ def _run(scheme: str, observer, stream: list) -> dict:
     caches = mee.caches
     mdc = [_cache_state(c) for c in (caches.counter, caches.mac, caches.bmt)]
     flush_done = mee.flush(float(len(stream)))
-    return {"fused_miss": mee._fused_miss, "transfers": log,
-            "traffic": mee._traffic, "mdc": mdc, "ctr_done": ctr_done,
-            "flush_done": flush_done}
+    out = {"transfers": [tuple(t) for t in log],
+           "traffic": dataclasses.astuple(mee._traffic), "mdc": mdc,
+           "ctr_done": ctr_done, "flush_done": flush_done,
+           "displaced": [(d.line_key, d.dirty_sectors)
+                         for d in mee.displaced]}
+    if l2 is not None:
+        out["l2"] = [_cache_state(bank.cache) for bank in l2.banks]
+        out["victim"] = [(bank.victim_hits, bank.victim_insertions)
+                         for bank in l2.banks]
+    return out
+
+
+def _digest(out: dict) -> str:
+    return hashlib.sha256(repr(sorted(out.items())).encode()).hexdigest()
+
+
+def _pin_key(run: str, observed: bool) -> str:
+    return f"{run}/{'observed' if observed else 'unobserved'}"
 
 
 @pytest.mark.parametrize("scheme", SECURE_SCHEMES)
 def test_fused_paths_place_what_the_object_path_places(scheme):
-    stream = _stream(seed=sum(map(ord, scheme)))
-    fused = _run(scheme, None, stream)
-    reference = _run(scheme, Observer(), stream)
-    assert fused["fused_miss"] == (scheme != "shm_vl2")
-    assert not reference["fused_miss"]
+    unobserved = _run(scheme, False)
+    observed = _run(scheme, True)
     # The stream exercises fetches and write-backs of every kind.
-    assert {(t.kind, t.is_write) for t in fused["transfers"]} >= {
+    assert {(t[3], t[2]) for t in unobserved["transfers"]} >= {
         (kind, is_write) for kind in ("ctr", "mac", "bmt")
         for is_write in (False, True)}
-    for key in ("transfers", "traffic", "mdc", "ctr_done", "flush_done"):
-        assert fused[key] == reference[key], key
+    for key in ("transfers", "traffic", "mdc", "ctr_done", "flush_done",
+                "displaced"):
+        assert unobserved[key] == observed[key], key
+
+
+def test_victim_store_runs_park_displace_and_agree():
+    unobserved = _run(VICTIM_RUN, False)
+    observed = _run(VICTIM_RUN, True)
+    hits = sum(h for h, _ in unobserved["victim"])
+    parked = sum(p for _, p in unobserved["victim"])
+    assert hits and parked and unobserved["displaced"]
+    assert unobserved == observed
+
+
+def test_pins_cover_every_run():
+    assert set(json.loads(PINS_PATH.read_text())) == {
+        _pin_key(run, observed) for run in RUNS
+        for observed in (False, True)}
+
+
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["unobserved", "observed"])
+@pytest.mark.parametrize("run", RUNS)
+def test_placement_matches_the_pinned_digest(run, observed):
+    pins = json.loads(PINS_PATH.read_text())
+    assert _digest(_run(run, observed)) == pins[_pin_key(run, observed)]
+
+
+if __name__ == "__main__":
+    PINS_PATH.write_text(json.dumps(
+        {_pin_key(run, observed): _digest(_run(run, observed))
+         for run in RUNS for observed in (False, True)},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {PINS_PATH}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import SimConfig, scheme_config
+from repro.common.config import MDCConfig, SimConfig, scheme_config
 from repro.common.types import Scheme
 from repro.core.mee import MemoryEncryptionEngine
 from repro.core.policies import (
@@ -27,7 +27,9 @@ from repro.core.policies import (
     scheme_entry,
     unregister_scheme,
 )
+from repro.metadata.caches import MetadataCaches
 from repro.sim.runner import Runner
+from tests.conftest import RecordingPlace
 
 
 @pytest.fixture
@@ -158,7 +160,10 @@ def test_integrity_policy_selects_walker():
     assert _mee_for(Scheme.SHM).bmt.arity == 16
     assert _mee_for(Scheme.SHM, integrity_tree="counter_tree").bmt.arity == 8
     null_walker = _mee_for(Scheme.SHM, integrity_tree="none").bmt
-    assert null_walker.arity == 0 and null_walker.walk(None, 0, True) == ([], [])
+    placed = RecordingPlace()
+    caches = MetadataCaches(MDCConfig(), 0, placed)
+    null_walker.walk(caches, 0, True)
+    assert null_walker.arity == 0 and placed == [] and caches.displaced == []
     with pytest.raises(ValueError, match="unknown integrity tree"):
         integrity_policy("merkle_ish")
 

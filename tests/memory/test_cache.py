@@ -122,12 +122,6 @@ class TestInsertLine:
         ev = c.invalidate(7)
         assert ev.dirty_sectors == 2
 
-    def test_set_filter_blocks_insertion(self):
-        c = make_cache()
-        res = c.insert_line(0, valid_sectors=1, set_filter=lambda s: False)
-        assert res is None
-        assert not c.probe(0, 0)
-
 
 class TestStats:
     def test_counts(self):

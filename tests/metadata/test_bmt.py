@@ -5,37 +5,45 @@ import pytest
 from repro.common.config import MDCConfig
 from repro.metadata.bmt import BMTWalker
 from repro.metadata.caches import MetadataCaches
+from tests.conftest import RecordingPlace
 
 
 @pytest.fixture
-def mdc():
-    return MetadataCaches(MDCConfig(), partition_id=0)
+def placed():
+    return RecordingPlace()
+
+
+@pytest.fixture
+def mdc(placed):
+    return MetadataCaches(MDCConfig(), partition_id=0, place=placed)
 
 
 class TestWalk:
-    def test_cold_walk_touches_interior_levels(self, mdc):
+    def test_cold_walk_touches_interior_levels(self, mdc, placed):
         walker = BMTWalker(protected_bytes=4 * 1024**3 // 12)  # 4 levels
-        transfers, _ = walker.walk(mdc, leaf_index=0, is_write=False)
+        walker.walk(mdc, leaf_index=0, is_write=False)
         # Levels 1..3 fetched (the root register is free).
-        assert len([t for t in transfers if not t.is_write]) == walker.levels - 1
+        assert len([t for t in placed if not t.is_write]) == walker.levels - 1
 
-    def test_warm_walk_stops_at_first_hit(self, mdc):
+    def test_warm_walk_stops_at_first_hit(self, mdc, placed):
         walker = BMTWalker(protected_bytes=4 * 1024**3 // 12)
         walker.walk(mdc, leaf_index=0, is_write=False)
-        transfers, _ = walker.walk(mdc, leaf_index=0, is_write=False)
-        assert not transfers  # whole path cached: trusted ancestor at L1
+        del placed[:]
+        walker.walk(mdc, leaf_index=0, is_write=False)
+        assert not placed  # whole path cached: trusted ancestor at L1
 
-    def test_sibling_leaves_share_path(self, mdc):
+    def test_sibling_leaves_share_path(self, mdc, placed):
         walker = BMTWalker(protected_bytes=4 * 1024**3 // 12)
         walker.walk(mdc, leaf_index=0, is_write=False)
-        transfers, _ = walker.walk(mdc, leaf_index=1, is_write=False)
-        assert not transfers  # leaf 1's parent == leaf 0's parent
+        del placed[:]
+        walker.walk(mdc, leaf_index=1, is_write=False)
+        assert not placed  # leaf 1's parent == leaf 0's parent
 
     def test_write_walk_dirties_nodes(self, mdc):
         walker = BMTWalker(protected_bytes=4 * 1024**3 // 12)
         walker.walk(mdc, leaf_index=0, is_write=True)
         flushed = mdc.flush()
-        assert any(t.kind == "bmt" and t.is_write for t in flushed)
+        assert any(kind == "bmt" for kind, _, _ in flushed)
 
     def test_walk_counts(self, mdc):
         walker = BMTWalker(protected_bytes=16 * 1024 * 1024)
@@ -43,7 +51,7 @@ class TestWalk:
         assert walker.walks == 1
         assert walker.nodes_touched >= 1
 
-    def test_small_memory_single_level(self, mdc):
+    def test_small_memory_single_level(self, mdc, placed):
         walker = BMTWalker(protected_bytes=16 * 1024)
-        transfers, _ = walker.walk(mdc, leaf_index=0, is_write=False)
-        assert not transfers  # only the root above the leaf: free
+        walker.walk(mdc, leaf_index=0, is_write=False)
+        assert not placed  # only the root above the leaf: free

@@ -61,6 +61,10 @@ class TestBMTGeometry:
         share = 4 * 1024**3 // 12
         assert layout.bmt_levels(share) == 4
 
+    def test_levels_at_counter_tree_arity(self):
+        # 21,845 counter lines -> 2,731 -> 342 -> 43 -> 6 -> 1.
+        assert layout.bmt_levels(4 * 1024**3 // 12, arity=8) == 5
+
     def test_levels_minimum_one(self):
         assert layout.bmt_levels(16 * 1024) == 1
 

@@ -66,10 +66,15 @@ class TestExecution:
         assert all(s > 0 for s in entry["samples"])
 
     def test_policy_and_sched_micros_execute(self):
-        doc = bench.run_bench(pattern="micro.sched.fifo",
-                              repeats=2, warmup=0)
-        assert "micro.sched.fifo" in doc["benchmarks"]
+        """Every micro case runs once, so an API change under any of
+        them (the metadata caches, the MEE, a scheduler) fails here."""
+        doc = bench.run_bench(pattern="micro.", repeats=1, warmup=0)
         validate_bench(doc)
+        micros = {case.name for case in bench.build_cases()
+                  if case.kind == "micro"}
+        assert set(doc["benchmarks"]) == micros
+        assert {"micro.mdc.lookup", "micro.policy.pssm_ctree",
+                "micro.sched.fifo"} <= micros
 
     def test_environment_fingerprint(self):
         env = bench.environment_fingerprint()

@@ -36,7 +36,7 @@ class TestFold:
         ("repro.memory.mshr", "allocate_burst", "l2"),
         ("repro.core.mee", "_ctr_access", "mee"),
         ("repro.core.policies.mac", "access", "mee"),
-        ("repro.metadata.caches", "access_path", "metadata"),
+        ("repro.metadata.caches", "access", "metadata"),
         ("repro.metadata.bmt", "walk", "metadata"),
         ("repro.memory.dram", "occupy", "dram"),
         ("repro.memory.sched", "service", "dram"),
@@ -188,8 +188,8 @@ class TestSnapshotShape:
 @pytest.fixture(scope="module")
 def profiled(tmp_path_factory):
     """One ``repro inspect --host-profile`` run with a spy on its batch
-    loop recording, per call, whether the sampler was armed and the
-    state of every MEE fast-path flag."""
+    loop recording, per call, the scheme and whether the sampler was
+    armed."""
     path = tmp_path_factory.mktemp("hostprof") / "host-profile.json"
     calls = []
     original = MemoryPipeline.run_batch
@@ -200,8 +200,6 @@ def profiled(tmp_path_factory):
             "scheme": pipeline.config.scheme.label,
             "sampled": isinstance(getattr(handler, "__self__", None),
                                   HostSampler),
-            "fast_meta": [mee._fast_meta for mee in pipeline.mees],
-            "fused_miss": [mee._fused_miss for mee in pipeline.mees],
         })
         return original(pipeline, window, accesses, latency)
 
@@ -215,13 +213,11 @@ def profiled(tmp_path_factory):
 
 class TestEndToEnd:
     def test_sampled_runs_keep_the_fast_paths(self, profiled):
+        """Every requested scheme ran the batch loop under the armed
+        sampler (which changes no code path: there is only one)."""
         _, calls = profiled
         sampled = [call for call in calls if call["sampled"]]
         assert {call["scheme"] for call in sampled} == set(SCHEMES)
-        for call in sampled:
-            assert all(call["fast_meta"]), call
-            if call["scheme"] != "shm_vl2":
-                assert all(call["fused_miss"]), call
 
     def test_coverage_at_least_95_percent(self, profiled):
         """Every sample lands in exactly one layer, and a sampled run

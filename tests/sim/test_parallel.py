@@ -1,12 +1,11 @@
-"""Parallel matrix runner and the fault-tolerant job engine."""
+"""The fault-tolerant parallel job engine."""
 
 import os
 import time
 
 import pytest
 
-from repro.common.types import Scheme
-from repro.sim.parallel import MatrixResult, execute_jobs, run_matrix
+from repro.sim.parallel import execute_jobs
 
 
 # Worker functions must live at module level so the pool can pickle them.
@@ -94,47 +93,3 @@ class TestExecuteJobs:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             execute_jobs(_square, [1], jobs=0)
-
-
-class TestAverageOverheadEquality:
-    def test_accepts_scheme_value_strings(self, tiny_runner, tiny_streaming):
-        """Schemes must match by equality: results that round-tripped
-        through the JSON store carry value strings, not enum members."""
-        baseline = tiny_runner.baseline(tiny_streaming.name)
-        result = tiny_runner.run(tiny_streaming.name, Scheme.SHM)
-        matrix = MatrixResult(
-            baselines={tiny_streaming.name: baseline},
-            runs={(tiny_streaming.name, "shm"): result},
-        )
-        expected = 1.0 - result.normalized_ipc(baseline)
-        assert matrix.average_overhead(Scheme.SHM) == pytest.approx(expected)
-        assert matrix.average_overhead("shm") == pytest.approx(expected)
-        # A scheme with no runs still averages to zero, not a KeyError.
-        assert matrix.average_overhead(Scheme.NAIVE) == 0.0
-
-
-class TestRunMatrix:
-    def test_sequential_matrix(self):
-        result = run_matrix(["atax"], [Scheme.PSSM, Scheme.SHM],
-                            scale=0.05, jobs=1)
-        assert ("atax", Scheme.PSSM) in result.runs
-        assert ("atax", Scheme.SHM) in result.runs
-        assert 0 < result.normalized_ipc("atax", Scheme.SHM) <= 1.001
-
-    def test_parallel_matches_sequential(self):
-        seq = run_matrix(["atax", "mvt"], [Scheme.PSSM], scale=0.05, jobs=1)
-        par = run_matrix(["atax", "mvt"], [Scheme.PSSM], scale=0.05, jobs=2)
-        for key in seq.runs:
-            assert par.runs[key].cycles == seq.runs[key].cycles
-            assert (par.runs[key].traffic.total_bytes
-                    == seq.runs[key].traffic.total_bytes)
-
-    def test_average_overhead(self):
-        result = run_matrix(["atax"], [Scheme.PSSM], scale=0.05, jobs=1)
-        over = result.average_overhead(Scheme.PSSM)
-        assert 0.0 <= over < 0.5
-        assert result.average_overhead(Scheme.NAIVE) == 0.0  # not run
-
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError):
-            run_matrix(["atax"], [Scheme.PSSM], jobs=0)
