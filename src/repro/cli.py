@@ -58,6 +58,18 @@ def _scheme_label(scheme) -> str:
     return scheme.value if isinstance(scheme, Scheme) else scheme
 
 
+def _worker_count(text: str) -> int:
+    """argparse type for ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_observer(args: argparse.Namespace):
     """An Observer when any observability flag is set, else None."""
     if not (args.trace or args.metrics_out):
@@ -958,8 +970,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict to these workloads "
                              "(default: each experiment's own set)")
     p_camp.add_argument("--scale", type=float, default=0.25)
-    p_camp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: CPU count)")
+    p_camp.add_argument("--jobs", type=_worker_count, default=None,
+                        help="worker processes, at least 1 "
+                             "(default: CPU count; smoke: 2)")
     p_camp.add_argument("--store", default=None, metavar="DIR",
                         help="result-store directory "
                              "(default: .repro-store; smoke: a temp dir)")

@@ -9,8 +9,8 @@ those matrices two ways, with identical results:
 
 * **Serial** (:func:`run_cells_serial`): in-process against one shared
   :class:`repro.sim.runner.Runner` — what the classic ``fig*`` driver
-  functions use, fastest for a handful of cells because calibrations
-  are shared.
+  functions use, fastest for a handful of cells because it starts no
+  processes and builds each workload once.
 * **Campaign** (:func:`run_campaign`): cells fan out over a
   ``ProcessPoolExecutor`` worker pool (per-job timeouts, bounded
   retries with backoff — see :mod:`repro.sim.parallel`), every
@@ -20,6 +20,13 @@ those matrices two ways, with identical results:
   just the requested experiments' cells).  A failed cell is recorded
   with its traceback and excluded from aggregates instead of killing
   the sweep.
+
+Both paths calibrate each workload once per **calibration group** —
+the cells that share a workload, its scale and the config fields the
+unprotected calibration run reads (:func:`_calibration_group`).  The
+serial path shares its runners' calibration caches; the pool runs
+each group's first cell in a first wave and ships that cell's
+calibration, pickled, with the group's other cells in a second wave.
 
 Cells are **deduplicated by content address** across experiments: the
 (atax, SHM, default-config) run that Fig. 12, Fig. 13 and Fig. 16 all
@@ -38,10 +45,12 @@ an ETA.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import traceback
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
@@ -136,6 +145,11 @@ class JobSpec:
     #: cell's run and ship its :meth:`~DecisionLedger.summary` back in
     #: the payload.  Execution detail — excluded from :func:`cell_key`.
     collect_decisions: bool = False
+    #: The pickled :class:`~repro.sim.runner.Calibration` of the
+    #: cell's calibration group, set by :func:`run_campaign` on the
+    #: pool's second wave so the worker skips calibrating.  Execution
+    #: detail — excluded from :func:`cell_key`.
+    calibration: Optional[bytes] = None
 
 
 @dataclass
@@ -178,8 +192,6 @@ class ExperimentSpec:
     provenance: str
     jobs: Callable[[Optional[List[str]], SimConfig, float], List[JobSpec]]
     aggregate: Callable[[List[CellRecord]], ExperimentResult]
-    #: Rough per-cell cost relative to one plain scheme run (docs/ETA).
-    cost_hint: float = 1.0
 
 
 def cell_key(job: JobSpec, version: Optional[str] = None) -> str:
@@ -283,6 +295,14 @@ def _cell_worker(job: JobSpec) -> Dict[str, Any]:
     """Top-level worker entry point (must be picklable): one fresh
     runner, one cell, a JSON-safe payload back.
 
+    A job that carries its group's ``calibration`` seeds the runner
+    with it instead of calibrating.  A job without one calibrates
+    before its run and returns the calibration, pickled, as the
+    payload's ``"calibration"`` bytes (the one entry that is not JSON;
+    the parent pops it and hands it to the rest of the group, see
+    :func:`run_campaign`).  Capturing it before the run means a
+    follower starts from exactly what a fresh calibration gives.
+
     With ``job.collect_metrics`` the run happens under an observer and
     the payload carries the worker's metrics as a ``"metrics"`` state
     dict — in-place registry mutation inside a pool worker is invisible
@@ -293,9 +313,18 @@ def _cell_worker(job: JobSpec) -> Dict[str, Any]:
         from repro.obs.observer import Observer
         observer = Observer(timeseries=False)
     runner = Runner(config=job.config, scale=job.scale, observer=observer)
+    _ensure_workload(runner, job)
+    calibration = None
+    if job.calibration is not None:
+        runner._calibrations[job.workload] = pickle.loads(job.calibration)
+    else:
+        calibration = pickle.dumps(runner.calibration(job.workload),
+                                   pickle.HIGHEST_PROTOCOL)
     payload = _serialize_payload(_evaluate_cell(runner, job))
     if observer is not None:
         payload["metrics"] = observer.metrics.state()
+    if calibration is not None:
+        payload["calibration"] = calibration
     return payload
 
 
@@ -304,6 +333,46 @@ def _workload_identity(job: JobSpec) -> str:
     return stable_hash({"base": job.workload_base,
                         "overrides": job.workload_overrides,
                         "spec": job.workload_spec})
+
+
+def _calibration_inputs(config: SimConfig) -> tuple:
+    """The config fields a workload's calibration reads.
+
+    The calibration run uses the *unprotected* scheme on the config's
+    GPU model, and its recorded-stream profile is chunked by the
+    detector geometry; everything else (MDC sizes, scheme overrides)
+    leaves it unchanged.  A DRAM-scheduler ablation changes the GPU
+    model's contention, so its cells calibrate separately.
+    """
+    return (config.gpu, config.scheme.detectors)
+
+
+def _calibration_group(job: JobSpec) -> tuple:
+    """Cells with equal groups can share one calibration: same
+    workload name and identity, same scale, same calibration inputs."""
+    return (job.workload, _workload_identity(job), job.scale,
+            _calibration_inputs(job.config))
+
+
+def _calibration_waves(jobs: Sequence[JobSpec],
+                       n_workers: int) -> Tuple[List[int], List[int]]:
+    """Split the pool's cells (by index) into two waves.
+
+    Wave 1 holds the first cell of every calibration group, in order.
+    When that is fewer cells than ``n_workers``, the next cells join it
+    until it has ``n_workers`` (they calibrate themselves), so a pool
+    never starts fewer cells than it did before calibrations were
+    shared.  Wave 2 holds the rest.
+    """
+    seen = set()
+    leaders: List[int] = []
+    followers: List[int] = []
+    for index, job in enumerate(jobs):
+        group = _calibration_group(job)
+        (followers if group in seen else leaders).append(index)
+        seen.add(group)
+    top_up = max(0, n_workers - len(leaders))
+    return sorted(leaders + followers[:top_up]), followers[top_up:]
 
 
 class _SerialEvaluator:
@@ -354,17 +423,10 @@ class _SerialEvaluator:
         return sibling
 
     def _calibration_compatible(self, config: SimConfig) -> bool:
-        """May a sibling share the parent's calibration cache?
-
-        The calibration run uses the *unprotected* scheme on the
-        parent's GPU model, and its recorded-stream profile is chunked
-        by the detector geometry — so sharing is only sound when both
-        the GPU config (e.g. a DRAM-scheduler ablation changes the
-        contention model) and the detector sizing match the parent's.
-        """
-        parent = self.runner.config
-        return (config.gpu == parent.gpu
-                and config.scheme.detectors == parent.scheme.detectors)
+        """May a sibling share the parent's calibration cache?  Only
+        when the config fields calibration reads match the parent's."""
+        return (_calibration_inputs(config)
+                == _calibration_inputs(self.runner.config))
 
     def evaluate(self, job: JobSpec) -> Dict[str, Any]:
         return _evaluate_cell(self._runner_for(job), job)
@@ -482,8 +544,10 @@ def run_campaign(
     content-addressed result store: cached cells are served without
     simulation, and ``force=True`` re-runs (and overwrites) exactly
     the selected experiments' cells.  ``jobs`` is the worker-pool
-    width (default: the machine's core count); ``serial=True`` runs
-    in-process on one shared runner instead, with identical results.
+    width, at least 1 (default: the machine's core count);
+    ``serial=True`` runs in-process on one shared runner instead, with
+    identical results.  Either way each calibration group calibrates
+    once (see the module docstring).
 
     ``progress`` fires once per terminal cell with ``(record, stats)``
     where ``stats`` carries ``done``/``failed``/``cached``/``total``
@@ -529,11 +593,14 @@ def run_campaign(
             f"available: {', '.join(sorted(specs))}"
         )
 
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
     config = config or SimConfig()
     registry = registry or MetricsRegistry()
     store = ResultStore(store_dir) if store_dir is not None else None
     version = code_version()
-    n_workers = 1 if serial else max(1, jobs or os.cpu_count() or 2)
+    n_workers = 1 if serial else jobs or os.cpu_count() or 2
     started = time.monotonic()
 
     # -- expand and deduplicate ---------------------------------------
@@ -674,44 +741,6 @@ def run_campaign(
                 emit_terminal(key, cell)
                 record_executed(key, cell)
     elif to_run:
-        def on_outcome(outcome) -> None:
-            key = to_run[outcome.index]
-            if outcome.ok:
-                value = outcome.value
-                metrics_state = value.pop("metrics", None)
-                if metrics_state is not None:
-                    registry.merge_state(metrics_state)
-                cell = _Cell(
-                    payload=_deserialize_payload(value),
-                    runtime=outcome.runtime, attempts=outcome.attempts,
-                )
-            else:
-                cell = _Cell(
-                    status="failed",
-                    error=f"[{outcome.reason}] {outcome.error}",
-                    runtime=outcome.runtime, attempts=outcome.attempts,
-                )
-                if events is not None:
-                    if outcome.reason == "worker_died":
-                        events.emit("worker_died", cell=key,
-                                    attempt=outcome.attempts)
-                    elif outcome.reason == "timeout":
-                        events.emit("cell_timeout", cell=key,
-                                    attempt=outcome.attempts)
-            emit_terminal(key, cell, reason=outcome.reason)
-            record_executed(key, cell)
-
-        def on_retry(index: int, attempt: int, reason: str) -> None:
-            key = to_run[index]
-            if events is None:
-                return
-            if reason == "worker_died":
-                events.emit("worker_died", cell=key, attempt=attempt)
-            elif reason == "timeout":
-                events.emit("cell_timeout", cell=key, attempt=attempt)
-            events.emit("cell_retry", cell=key, attempt=attempt,
-                        reason=reason)
-
         worker_jobs = [unique[k] for k in to_run]
         if collect_metrics:
             worker_jobs = [dc_replace(job, collect_metrics=True)
@@ -720,13 +749,74 @@ def run_campaign(
             worker_jobs = [dc_replace(job, collect_decisions=True)
                            if job.kind == "run" else job
                            for job in worker_jobs]
-        execute_jobs(_cell_worker, worker_jobs,
-                     jobs=n_workers, timeout=timeout, retries=retries,
-                     on_outcome=on_outcome,
-                     on_retry=on_retry if events is not None else None,
-                     event_spool=(str(events.spool_dir)
-                                  if events is not None else None),
-                     tags=to_run if events is not None else None)
+        groups = [_calibration_group(job) for job in worker_jobs]
+        # Calibration group -> its pickled Calibration.  The parent
+        # only passes the bytes on, so the wave-2 workers it forks
+        # inherit no unpickled calibrations.
+        calibrations: Dict[tuple, bytes] = {}
+
+        def run_wave(indices: List[int]) -> None:
+            """Execute ``worker_jobs[i]`` for each ``i`` in ``indices``
+            on one pool, each seeded with its group's calibration when
+            an earlier wave produced one."""
+            def on_outcome(outcome) -> None:
+                index = indices[outcome.index]
+                key = to_run[index]
+                if outcome.ok:
+                    value = outcome.value
+                    calibration = value.pop("calibration", None)
+                    if calibration is not None:
+                        calibrations.setdefault(groups[index], calibration)
+                    metrics_state = value.pop("metrics", None)
+                    if metrics_state is not None:
+                        registry.merge_state(metrics_state)
+                    cell = _Cell(
+                        payload=_deserialize_payload(value),
+                        runtime=outcome.runtime, attempts=outcome.attempts,
+                    )
+                else:
+                    cell = _Cell(
+                        status="failed",
+                        error=f"[{outcome.reason}] {outcome.error}",
+                        runtime=outcome.runtime, attempts=outcome.attempts,
+                    )
+                    if events is not None:
+                        if outcome.reason == "worker_died":
+                            events.emit("worker_died", cell=key,
+                                        attempt=outcome.attempts)
+                        elif outcome.reason == "timeout":
+                            events.emit("cell_timeout", cell=key,
+                                        attempt=outcome.attempts)
+                emit_terminal(key, cell, reason=outcome.reason)
+                record_executed(key, cell)
+
+            def on_retry(index: int, attempt: int, reason: str) -> None:
+                key = to_run[indices[index]]
+                if events is None:
+                    return
+                if reason == "worker_died":
+                    events.emit("worker_died", cell=key, attempt=attempt)
+                elif reason == "timeout":
+                    events.emit("cell_timeout", cell=key, attempt=attempt)
+                events.emit("cell_retry", cell=key, attempt=attempt,
+                            reason=reason)
+
+            execute_jobs(_cell_worker,
+                         [dc_replace(worker_jobs[i],
+                                     calibration=calibrations.get(groups[i]))
+                          for i in indices],
+                         jobs=n_workers, timeout=timeout, retries=retries,
+                         on_outcome=on_outcome,
+                         on_retry=on_retry if events is not None else None,
+                         event_spool=(str(events.spool_dir)
+                                      if events is not None else None),
+                         tags=([to_run[i] for i in indices]
+                               if events is not None else None))
+
+        # A leader that fails leaves its group without a calibration:
+        # its followers then calibrate themselves.
+        for wave in _calibration_waves(worker_jobs, n_workers):
+            run_wave(wave)
         if events is not None:
             merge_spool(events)
 

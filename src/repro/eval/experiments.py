@@ -711,7 +711,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             provenance="Fig. 5, Section III-A",
             jobs=_fig5_jobs,
             aggregate=_fig5_aggregate,
-            cost_hint=0.5,
         ),
         ExperimentSpec(
             name="fig10",
@@ -826,7 +825,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             jobs=_multitenant_jobs,
             aggregate=_series_aggregate("ablation_multitenant_contention",
                                         _normalized_ipc),
-            cost_hint=1.5,
         ),
         ExperimentSpec(
             name="ablation_learned_policies",
@@ -835,7 +833,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
                        "per-region scheme selection",
             jobs=_learned_jobs,
             aggregate=_learned_aggregate,
-            cost_hint=2.5,
         ),
         ExperimentSpec(
             name="suite_phase_churn",
@@ -846,7 +843,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             jobs=_phase_churn_jobs,
             aggregate=_series_aggregate("suite_phase_churn",
                                         _normalized_ipc),
-            cost_hint=2.0,
         ),
     ]
 }

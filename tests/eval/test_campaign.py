@@ -1,6 +1,7 @@
 """The campaign engine: dedup, store resume, degradation, manifests."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -12,11 +13,15 @@ from repro.eval.campaign import (
     ExperimentResult,
     ExperimentSpec,
     JobSpec,
+    _calibration_waves,
     cell_key,
     run_campaign,
     run_cells_serial,
     run_smoke,
 )
+from repro.eval.results_io import serialize_run_result
+from repro.sim.runner import Runner
+from repro.workloads.multitenant import phase_churn_spec
 
 SCALE = 0.05
 
@@ -96,18 +101,190 @@ class TestCellKey:
         assert cell_key(job, "v1") != cell_key(job, "v2")
 
 
+def _cell_bytes(report, experiment="test-exp"):
+    """(workload, series) -> the serialized result and baseline of
+    every cell that finished."""
+    return {(rec.job.workload, rec.job.series):
+            (serialize_run_result(rec.result),
+             serialize_run_result(rec.baseline))
+            for rec in report.records[experiment] if rec.ok}
+
+
+def _count_calibrations(monkeypatch):
+    """Count ``Runner._calibrate`` calls made in this process."""
+    calls = []
+    calibrate = Runner._calibrate
+
+    def counting(self, workload):
+        calls.append(workload.name)
+        return calibrate(self, workload)
+
+    monkeypatch.setattr(Runner, "_calibrate", counting)
+    return calls
+
+
+def _churn_jobs(_workloads, config, scale):
+    """Two seeds of one churn suite: same name, different specs."""
+    return [JobSpec(experiment="test-exp", workload="mt4_churn50",
+                    scheme=scheme, series=f"{scheme}/{seed}", scale=scale,
+                    config=config,
+                    workload_spec=phase_churn_spec(0.5, seed=seed))
+            for scheme in ("pssm", "shm") for seed in (2241, 2242)]
+
+
 class TestSerialEngineEquivalence:
-    def test_serial_and_pool_agree(self, tmp_path):
-        specs = {"test-exp": _spec(
-            _smoke_like(["atax"], (Scheme.PSSM, Scheme.SHM)))}
-        serial = run_campaign(["test-exp"], scale=SCALE, serial=True,
-                              specs=specs)
+    """The pool's followers run on a shipped calibration; every cell
+    must still equal the serial path's byte for byte."""
+
+    @staticmethod
+    def assert_pool_matches_serial(jobs_fn):
+        specs = {"test-exp": _spec(jobs_fn)}
+        serial = _cell_bytes(run_campaign(["test-exp"], scale=SCALE,
+                                          serial=True, specs=specs))
         pooled = run_campaign(["test-exp"], scale=SCALE, jobs=2,
                               specs=specs)
-        for label, series in serial.results["test-exp"].series.items():
-            for name, value in series.items():
-                assert (pooled.results["test-exp"].series[label][name]
-                        == pytest.approx(value))
+        assert pooled.totals["failed"] == 0
+        assert _cell_bytes(pooled) == serial
+        # Two calibration groups, each with its own baseline: a
+        # calibration shipped to the wrong group would show.
+        assert len({json.dumps(baseline, sort_keys=True)
+                    for _, baseline in serial.values()}) == 2
+
+    def test_serial_and_pool_agree(self):
+        self.assert_pool_matches_serial(_smoke_like(
+            ["atax", "mvt"], (Scheme.PSSM, Scheme.SHM, Scheme.NAIVE)))
+
+    def test_churn_seeds_agree_as_separate_groups(self):
+        """Two seeds of ``mt4_churn50`` share a name but not a spec."""
+        self.assert_pool_matches_serial(_churn_jobs)
+
+
+MODES = pytest.mark.parametrize("mode", [{"jobs": 1}, {"serial": True}],
+                                ids=["in-process-pool", "serial"])
+
+
+class TestCalibrationSharing:
+    @MODES
+    def test_smoke_calibrates_once_per_workload(self, monkeypatch, mode):
+        calls = _count_calibrations(monkeypatch)
+        report = run_campaign(["smoke"], scale=SCALE,
+                              specs={"smoke": SMOKE_SPEC}, **mode)
+        assert report.totals["executed"] == 4
+        assert sorted(calls) == ["atax", "mvt"]
+
+    @MODES
+    def test_a_scheduler_cell_calibrates_and_an_mdc_cell_shares(
+            self, monkeypatch, mode):
+        def jobs(workloads, config, scale):
+            gpu = dataclasses.replace(config.gpu,
+                                      dram_scheduler="critical_first")
+            counter = dataclasses.replace(
+                config.mdc.counter,
+                size_bytes=config.mdc.counter.size_bytes * 2)
+            mdc = dataclasses.replace(config.mdc, counter=counter)
+            return SMOKE_SPEC.jobs(workloads, config, scale) + [
+                JobSpec(experiment="smoke", workload="atax", scheme="shm",
+                        series=series, scale=scale,
+                        config=dataclasses.replace(config, **change))
+                for series, change in (("critical_first", {"gpu": gpu}),
+                                       ("mdc", {"mdc": mdc}))]
+
+        calls = _count_calibrations(monkeypatch)
+        report = run_campaign(["smoke"], scale=SCALE,
+                              specs={"smoke": _spec(jobs, "smoke")}, **mode)
+        assert report.totals["executed"] == 6
+        assert sorted(calls) == ["atax", "atax", "mvt"]
+
+    def test_failed_leader_leaves_followers_to_calibrate(self,
+                                                         monkeypatch):
+        """The first (PSSM) cell of atax's group fails: its followers
+        calibrate themselves and still equal the serial path."""
+        from repro.eval import campaign
+
+        real = campaign._cell_worker
+
+        def leader_fails(job):
+            if job.workload == "atax" and job.scheme == "pssm":
+                raise RuntimeError("leader failed")
+            return real(job)
+
+        specs = {"test-exp": _spec(_smoke_like(
+            ["atax", "mvt"], (Scheme.PSSM, Scheme.SHM, Scheme.NAIVE)))}
+        serial = _cell_bytes(run_campaign(["test-exp"], scale=SCALE,
+                                          serial=True, specs=specs))
+        monkeypatch.setattr(campaign, "_cell_worker", leader_fails)
+        calls = _count_calibrations(monkeypatch)
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
+                              retries=0, specs=specs)
+        (failed,) = report.failed_cells
+        assert (failed.job.workload, failed.job.scheme) == ("atax", "pssm")
+        # mvt's group shares one calibration; atax's two followers
+        # each calibrate.
+        assert sorted(calls) == ["atax", "atax", "mvt"]
+        pooled = _cell_bytes(report)
+        assert len(pooled) == 5
+        assert pooled == {cell: serial[cell] for cell in pooled}
+
+
+class TestCalibrationWaves:
+    """``_calibration_waves`` as a pure function of the cell list."""
+
+    @staticmethod
+    def _job(workload="atax", scheme="shm", **kwargs):
+        return JobSpec(experiment="e", workload=workload, scheme=scheme,
+                       scale=kwargs.pop("scale", SCALE),
+                       config=kwargs.pop("config", SimConfig()), **kwargs)
+
+    def test_leaders_come_in_order(self):
+        jobs = [self._job("mvt"), self._job("atax"),
+                self._job("mvt", "pssm"), self._job("bfs"),
+                self._job("atax", "pssm")]
+        assert _calibration_waves(jobs, 1) == ([0, 1, 3], [2, 4])
+
+    @pytest.mark.parametrize("change", [
+        lambda c: {"config": dataclasses.replace(
+            c, gpu=dataclasses.replace(c.gpu,
+                                       dram_scheduler="critical_first"))},
+        lambda c: {"config": dataclasses.replace(
+            c, scheme=dataclasses.replace(
+                c.scheme, detectors=dataclasses.replace(
+                    c.scheme.detectors,
+                    num_trackers=c.scheme.detectors.num_trackers * 2)))},
+        lambda c: {"scale": SCALE * 2},
+        lambda c: {"workload_base": "atax",
+                   "workload_overrides": {"bandwidth_utilization": 0.5}},
+    ], ids=["gpu", "detectors", "scale", "workload-identity"])
+    def test_calibration_inputs_start_a_new_group(self, change):
+        jobs = [self._job(), self._job("atax", "pssm",
+                                       **change(SimConfig()))]
+        assert _calibration_waves(jobs, 1) == ([0, 1], [])
+
+    @pytest.mark.parametrize("change", [
+        lambda c: {"config": dataclasses.replace(
+            c, mdc=dataclasses.replace(
+                c.mdc, counter=dataclasses.replace(
+                    c.mdc.counter,
+                    size_bytes=c.mdc.counter.size_bytes * 2)))},
+        lambda c: {"overrides": {"mac_conflict_policy": "update_both"}},
+    ], ids=["mdc", "scheme-override"])
+    def test_other_config_shares_the_group(self, change):
+        jobs = [self._job(), self._job(**change(SimConfig()))]
+        assert _calibration_waves(jobs, 1) == ([0], [1])
+
+    def test_wave_one_is_topped_up_to_the_worker_count(self):
+        jobs = [self._job(scheme=s) for s in ("pssm", "shm", "naive")]
+        jobs.append(self._job("mvt"))
+        assert _calibration_waves(jobs, 2) == ([0, 3], [1, 2])
+        assert _calibration_waves(jobs, 3) == ([0, 1, 3], [2])
+        assert _calibration_waves(jobs, 8) == ([0, 1, 2, 3], [])
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_run_campaign_rejects_fewer_than_one_worker(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_campaign(["smoke"], scale=SCALE, jobs=jobs,
+                         specs={"smoke": SMOKE_SPEC})
 
 
 class TestStoreResume:
@@ -216,7 +393,6 @@ class TestManifest:
         totals = manifest["totals"]
         assert totals["cells"] == totals["ok"] == 1
         # It is a JSON document (``repro inspect`` reads it back).
-        import json
         json.dumps(manifest)
         # Per-cell runtimes reached the PR-1 metrics registry.
         assert "campaign.cell_runtime_s" in manifest["metrics"]["histograms"]

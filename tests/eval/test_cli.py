@@ -215,6 +215,18 @@ class TestCampaignCLI:
         with pytest.raises(SystemExit):
             main(["campaign"])
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "fig5", "--jobs", "0"],
+        ["campaign", "--smoke", "--jobs", "0"],
+        ["campaign", "fig5", "--jobs", "-3"],
+    ])
+    def test_fewer_than_one_worker_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --jobs: must be at least 1" in \
+            capsys.readouterr().err
+
     def test_smoke_resumes_from_the_store(self, tmp_path, capsys):
         assert main(["campaign", "--smoke", "--jobs", "1",
                      "--store", str(tmp_path / "store")]) == 0
