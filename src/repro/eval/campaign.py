@@ -22,11 +22,13 @@ those matrices two ways, with identical results:
   the sweep.
 
 Both paths calibrate each workload once per **calibration group** —
-the cells that share a workload, its scale and the config fields the
-unprotected calibration run reads (:func:`_calibration_group`).  The
-serial path shares its runners' calibration caches; the pool runs
-each group's first cell in a first wave and ships that cell's
-calibration, pickled, with the group's other cells in a second wave.
+the cells that share a workload, its scale and the
+:func:`~repro.sim.runner.calibration_key` of their configs, which the
+runner defines from what its calibration run reads
+(:func:`_calibration_group`).  The serial path shares calibration
+caches between runners with equal keys; the pool runs each group's
+first cell in a first wave and ships that cell's calibration,
+pickled, with the group's other cells in a second wave.
 
 Cells are **deduplicated by content address** across experiments: the
 (atax, SHM, default-config) run that Fig. 12, Fig. 13 and Fig. 16 all
@@ -59,7 +61,7 @@ from repro.obs.events import EventLog, merge_spool
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import TelemetryStore
 from repro.sim.parallel import execute_jobs
-from repro.sim.runner import Runner
+from repro.sim.runner import Runner, calibration_key
 from repro.sim.stats import RunResult, mean
 from repro.eval.results_io import (
     CELL_FORMAT_VERSION,
@@ -335,23 +337,14 @@ def _workload_identity(job: JobSpec) -> str:
                         "spec": job.workload_spec})
 
 
-def _calibration_inputs(config: SimConfig) -> tuple:
-    """The config fields a workload's calibration reads.
-
-    The calibration run uses the *unprotected* scheme on the config's
-    GPU model, and its recorded-stream profile is chunked by the
-    detector geometry; everything else (MDC sizes, scheme overrides)
-    leaves it unchanged.  A DRAM-scheduler ablation changes the GPU
-    model's contention, so its cells calibrate separately.
-    """
-    return (config.gpu, config.scheme.detectors)
-
-
 def _calibration_group(job: JobSpec) -> tuple:
     """Cells with equal groups can share one calibration: same
-    workload name and identity, same scale, same calibration inputs."""
+    workload name and identity, same scale, and configs with the same
+    :func:`~repro.sim.runner.calibration_key` (so MDC-size and
+    ``critical_first`` cells join their FIFO cells' group, while a
+    ``banked`` cell starts its own)."""
     return (job.workload, _workload_identity(job), job.scale,
-            _calibration_inputs(job.config))
+            calibration_key(job.config))
 
 
 def _calibration_waves(jobs: Sequence[JobSpec],
@@ -376,57 +369,52 @@ def _calibration_waves(jobs: Sequence[JobSpec],
 
 
 class _SerialEvaluator:
-    """Executes cells in-process against one shared runner.
+    """Executes cells in-process, one runner per (config, scale).
 
-    Cells whose ``config`` differs from the parent runner's (the MDC
-    ablation) run on *sibling* runners that share the parent's
-    workload and calibration caches — the unprotected calibration does
-    not depend on the varied knobs, so sharing is sound and avoids
-    re-calibrating per cell.
+    The parent runner serves the cells at its own config and scale.
+    Every other (config, scale) gets a runner of its own, made on first
+    use, which shares the workload cache of the runners at its scale
+    and the calibration cache of those whose config has the same
+    :func:`~repro.sim.runner.calibration_key` — so the MDC ablation and
+    ``critical_first`` cells reuse the FIFO calibrations, while a
+    ``banked`` cell calibrates for itself once.
 
-    Runners cache workloads and calibrations by name, so the first
-    workload seen under a name owns it in the shared caches.  A later
-    cell that builds a different workload under the same name (another
-    seed of a composed suite) runs on a private runner keyed by its
-    workload identity instead.
+    Runners cache workloads and calibrations by name, so at each scale
+    the first workload seen under a name owns it in the shared caches.
+    A later cell that builds a different workload under the same name
+    (another seed of a composed suite) runs on runners whose caches are
+    private to its workload identity instead.
     """
 
     def __init__(self, runner: Runner) -> None:
-        self.runner = runner
-        self._siblings: Dict[SimConfig, Runner] = {}
-        #: workload name -> identity of the workload the shared caches
-        #: hold under it.
-        self._owners: Dict[str, str] = {}
-        #: (config, scale, workload identity) -> private runner.
-        self._private: Dict[tuple, Runner] = {}
+        #: (workload name, scale) -> identity of the workload the shared
+        #: caches at that scale hold under the name.
+        self._owners: Dict[Tuple[str, float], str] = {}
+        # Runners share caches within a *domain*: (scale, None) for the
+        # workloads that own their names at that scale, (scale,
+        # identity) for one identity that does not.
+        domain = (runner.scale, None)
+        #: (config, domain) -> its runner.
+        self._runners: Dict[tuple, Runner] = {(runner.config, domain): runner}
+        #: domain -> its workload cache.
+        self._workloads: Dict[tuple, dict] = {domain: runner._workloads}
+        #: (domain, calibration key) -> its calibration cache.
+        self._calibrations: Dict[tuple, dict] = {
+            (domain, calibration_key(runner.config)): runner._calibrations}
 
     def _runner_for(self, job: JobSpec) -> Runner:
         identity = _workload_identity(job)
-        if self._owners.setdefault(job.workload, identity) != identity:
-            key = (job.config, job.scale, identity)
-            if key not in self._private:
-                self._private[key] = Runner(config=job.config,
-                                            scale=job.scale)
-            return self._private[key]
-        if job.config == self.runner.config:
-            return self.runner
-        if job.scale != self.runner.scale:
-            # Calibrations are scale-specific; no sharing possible.
-            return Runner(config=job.config, scale=job.scale)
-        sibling = self._siblings.get(job.config)
-        if sibling is None:
-            sibling = Runner(config=job.config, scale=job.scale)
-            sibling._workloads = self.runner._workloads
-            if self._calibration_compatible(job.config):
-                sibling._calibrations = self.runner._calibrations
-            self._siblings[job.config] = sibling
-        return sibling
-
-    def _calibration_compatible(self, config: SimConfig) -> bool:
-        """May a sibling share the parent's calibration cache?  Only
-        when the config fields calibration reads match the parent's."""
-        return (_calibration_inputs(config)
-                == _calibration_inputs(self.runner.config))
+        owner = self._owners.setdefault((job.workload, job.scale), identity)
+        domain = (job.scale, None if owner == identity else identity)
+        runner = self._runners.get((job.config, domain))
+        if runner is None:
+            runner = Runner(config=job.config, scale=job.scale)
+            runner._workloads = self._workloads.setdefault(
+                domain, runner._workloads)
+            runner._calibrations = self._calibrations.setdefault(
+                (domain, calibration_key(job.config)), runner._calibrations)
+            self._runners[(job.config, domain)] = runner
+        return runner
 
     def evaluate(self, job: JobSpec) -> Dict[str, Any]:
         return _evaluate_cell(self._runner_for(job), job)

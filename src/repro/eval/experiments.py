@@ -486,8 +486,11 @@ def ablation_dram_scheduler(
     writes out of the demand path, and the banked open-row model.
     Series are scheduler names; each discipline is its own
     :class:`SimConfig` cell, so sweeps run as ordinary campaign cells.
-    Note each discipline's cells *re-calibrate* (a scheduler changes
-    the contention model the MLP window is tuned against)."""
+    ``banked`` cells re-calibrate (their row model changes the
+    contention the MLP window is tuned against); ``critical_first``
+    cells reuse the FIFO calibration, because the unprotected
+    calibration run issues no MAC/BMT write for it to defer (see
+    :func:`repro.sim.runner.calibration_key`)."""
     jobs = _dram_scheduler_jobs(workloads, runner.config, runner.scale,
                                 schedulers, scheme)
     return _run_spec(EXPERIMENTS["ablation_dram_scheduler"], runner,

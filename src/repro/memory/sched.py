@@ -25,21 +25,47 @@ Schedulers are selected by name via :data:`SCHEDULERS` (the
 ``GPUConfig.dram_scheduler`` knob), so a campaign can sweep them as
 ordinary config cells; :func:`register_scheduler` adds new disciplines
 without touching the channel.
+
+Critical-first only reorders metadata writes, so a run that moves
+demand data alone (the unprotected calibration run) behaves exactly as
+under FIFO; :func:`demand_data_gpu` says which GPU model such a run
+exercises, and :func:`repro.sim.runner.calibration_key` keys shared
+calibrations on it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Tuple
 
+from repro.common.config import GPUConfig
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.common.config import GPUConfig
     from repro.memory.dram import DRAMChannel
 
 #: Metadata kinds whose *writes* are deferrable: nothing waits on a MAC
 #: or BMT update reaching DRAM (verification is off the critical path).
 DEFERRABLE_WRITE_KINDS = frozenset({"mac", "bmt"})
+
+
+def demand_data_gpu(gpu: GPUConfig) -> GPUConfig:
+    """The GPU model a run that moves only demand data exercises.
+
+    Such a run (the unprotected scheme: no MEE, so no metadata) offers
+    every transfer as kind ``"data"``, which is not in
+    :data:`DEFERRABLE_WRITE_KINDS`.  :class:`CriticalFirstScheduler`
+    then never fills its write buffer and places every transfer in
+    arrival order, as :class:`FIFOScheduler` does, so ``critical_first``
+    maps to ``fifo`` (with the write-buffer depth back at its default).
+    Every other discipline reorders or charges demand data itself and
+    comes back unchanged.
+    """
+    if gpu.dram_scheduler != "critical_first":
+        return gpu
+    return replace(gpu, dram_scheduler="fifo",
+                   dram_write_buffer=GPUConfig.dram_write_buffer)
 
 
 class DRAMScheduler(ABC):

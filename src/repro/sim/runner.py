@@ -24,6 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.core.policies.registry import scheme_entry
+from repro.memory.sched import demand_data_gpu
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.sim.gpu import GPUSimulator
@@ -51,6 +52,23 @@ class Calibration:
     window: int
     profile: TraceProfile
     baseline: RunResult
+
+
+def calibration_key(config: SimConfig) -> tuple:
+    """Everything a workload's calibration reads from ``config``.
+
+    The calibration runs the unprotected scheme, which moves demand
+    data only, so it exercises the GPU model :func:`demand_data_gpu`
+    gives; its ground-truth profile is chunked by the detectors'
+    region and chunk sizes.  Nothing else (MDC sizes, scheme overrides,
+    detector capacities) reaches it, so at equal scale runners whose
+    configs have equal keys calibrate every workload identically and
+    may share their calibrations.  :meth:`Runner._calibrate` records
+    from this key alone, which keeps the two in step.
+    """
+    detectors = config.scheme.detectors
+    return (demand_data_gpu(config.gpu), detectors.readonly_region_size,
+            detectors.stream_chunk_size)
 
 
 class Runner:
@@ -157,9 +175,14 @@ class Runner:
         (Little's law), so a proportional update converges in a few
         rounds.  The final round records the MEE-visible stream for
         the ground-truth profile and doubles as the baseline run.
+
+        The runs use only what :func:`calibration_key` holds: its GPU
+        model under the unprotected scheme, and its detector geometry
+        for the profile.
         """
         target = workload.bandwidth_utilization
-        recording_config = self.config.with_scheme(Scheme.UNPROTECTED)
+        gpu, region_size, chunk_size = calibration_key(self.config)
+        recording_config = SimConfig(gpu=gpu).with_scheme(Scheme.UNPROTECTED)
 
         observe = self.observer.enabled
         window = INITIAL_WINDOW
@@ -196,8 +219,7 @@ class Runner:
                 baseline.dram_utilization, baseline.cycles
             )
         profile = TraceProfile(
-            region_size=self.config.scheme.detectors.readonly_region_size,
-            chunk_size=self.config.scheme.detectors.stream_chunk_size,
+            region_size=region_size, chunk_size=chunk_size,
         ).ingest(recorder.streams)
         return Calibration(window=window, profile=profile, baseline=baseline)
 

@@ -158,6 +158,37 @@ class TestSerialEngineEquivalence:
         """Two seeds of ``mt4_churn50`` share a name but not a spec."""
         self.assert_pool_matches_serial(_churn_jobs)
 
+    def test_cells_off_the_campaign_scale_run_at_their_own(self,
+                                                           monkeypatch):
+        """A serial campaign at 0.02 with atax cells at 0.02 and 0.04:
+        the 0.04 cells run at 0.04 (as pool cells do), and the two
+        0.04 configs share one calibration."""
+        def jobs(_workloads, config, scale):
+            counter = dataclasses.replace(
+                config.mdc.counter,
+                size_bytes=config.mdc.counter.size_bytes * 2)
+            mdc = dataclasses.replace(
+                config, mdc=dataclasses.replace(config.mdc, counter=counter))
+            return [JobSpec(experiment="test-exp", workload="atax",
+                            scheme=scheme, series=series, scale=at,
+                            config=cell_config)
+                    for series, scheme, at, cell_config in (
+                        ("shm@0.02", "shm", scale, config),
+                        ("shm@0.04", "shm", 2 * scale, config),
+                        ("mdc-shm@0.04", "shm", 2 * scale, mdc),
+                        ("mdc-pssm@0.04", "pssm", 2 * scale, mdc))]
+
+        specs = {"test-exp": _spec(jobs)}
+        pooled = _cell_bytes(run_campaign(["test-exp"], scale=0.02, jobs=1,
+                                          specs=specs))
+        calls = _count_calibrations(monkeypatch)
+        serial = _cell_bytes(run_campaign(["test-exp"], scale=0.02,
+                                          serial=True, specs=specs))
+        assert serial == pooled
+        assert calls == ["atax", "atax"]
+        assert (pooled[("atax", "shm@0.02")]
+                != pooled[("atax", "shm@0.04")])
+
 
 MODES = pytest.mark.parametrize("mode", [{"jobs": 1}, {"serial": True}],
                                 ids=["in-process-pool", "serial"])
@@ -175,9 +206,9 @@ class TestCalibrationSharing:
     @MODES
     def test_a_scheduler_cell_calibrates_and_an_mdc_cell_shares(
             self, monkeypatch, mode):
+        """A ``banked`` cell calibrates for itself; ``critical_first``
+        and MDC-size cells share the FIFO calibration."""
         def jobs(workloads, config, scale):
-            gpu = dataclasses.replace(config.gpu,
-                                      dram_scheduler="critical_first")
             counter = dataclasses.replace(
                 config.mdc.counter,
                 size_bytes=config.mdc.counter.size_bytes * 2)
@@ -186,13 +217,17 @@ class TestCalibrationSharing:
                 JobSpec(experiment="smoke", workload="atax", scheme="shm",
                         series=series, scale=scale,
                         config=dataclasses.replace(config, **change))
-                for series, change in (("critical_first", {"gpu": gpu}),
-                                       ("mdc", {"mdc": mdc}))]
+                for series, change in (
+                    ("banked", {"gpu": dataclasses.replace(
+                        config.gpu, dram_scheduler="banked")}),
+                    ("critical_first", {"gpu": dataclasses.replace(
+                        config.gpu, dram_scheduler="critical_first")}),
+                    ("mdc", {"mdc": mdc}))]
 
         calls = _count_calibrations(monkeypatch)
         report = run_campaign(["smoke"], scale=SCALE,
                               specs={"smoke": _spec(jobs, "smoke")}, **mode)
-        assert report.totals["executed"] == 6
+        assert report.totals["executed"] == 7
         assert sorted(calls) == ["atax", "atax", "mvt"]
 
     def test_failed_leader_leaves_followers_to_calibrate(self,
@@ -243,13 +278,13 @@ class TestCalibrationWaves:
 
     @pytest.mark.parametrize("change", [
         lambda c: {"config": dataclasses.replace(
-            c, gpu=dataclasses.replace(c.gpu,
-                                       dram_scheduler="critical_first"))},
+            c, gpu=dataclasses.replace(c.gpu, dram_scheduler="banked"))},
         lambda c: {"config": dataclasses.replace(
             c, scheme=dataclasses.replace(
                 c.scheme, detectors=dataclasses.replace(
                     c.scheme.detectors,
-                    num_trackers=c.scheme.detectors.num_trackers * 2)))},
+                    readonly_region_size=c.scheme.detectors
+                    .readonly_region_size * 2)))},
         lambda c: {"scale": SCALE * 2},
         lambda c: {"workload_base": "atax",
                    "workload_overrides": {"bandwidth_utilization": 0.5}},
@@ -266,7 +301,20 @@ class TestCalibrationWaves:
                     c.mdc.counter,
                     size_bytes=c.mdc.counter.size_bytes * 2)))},
         lambda c: {"overrides": {"mac_conflict_policy": "update_both"}},
-    ], ids=["mdc", "scheme-override"])
+        lambda c: {"config": dataclasses.replace(
+            c, gpu=dataclasses.replace(c.gpu,
+                                       dram_scheduler="critical_first"))},
+        lambda c: {"config": dataclasses.replace(
+            c, gpu=dataclasses.replace(c.gpu,
+                                       dram_scheduler="critical_first",
+                                       dram_write_buffer=4))},
+        lambda c: {"config": dataclasses.replace(
+            c, scheme=dataclasses.replace(
+                c.scheme, detectors=dataclasses.replace(
+                    c.scheme.detectors,
+                    num_trackers=c.scheme.detectors.num_trackers * 2)))},
+    ], ids=["mdc", "scheme-override", "critical_first",
+            "critical_first-write-buffer", "num_trackers"])
     def test_other_config_shares_the_group(self, change):
         jobs = [self._job(), self._job(**change(SimConfig()))]
         assert _calibration_waves(jobs, 1) == ([0], [1])

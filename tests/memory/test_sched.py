@@ -69,6 +69,22 @@ def test_critical_first_never_defers_critical_or_non_deferrable():
     assert ch.scheduler.pending_writes == 0
 
 
+def test_critical_first_never_defers_a_data_write():
+    """Demand data alone: every transfer lands where FIFO puts it."""
+    kwargs = dict(request_overhead=8.0, turnaround=12.0)
+    cf = _channel(CriticalFirstScheduler(capacity=1), **kwargs)
+    fifo = _channel(FIFOScheduler(), **kwargs)
+    pattern = [(0.0, 128, True), (0.0, 32, True), (3.0, 64, False),
+               (500.0, 32, True), (501.0, 128, True), (900.0, 96, False)]
+    for arrival, size, is_write in pattern:
+        assert (cf.service(arrival, size, is_write, kind="data")
+                == fifo.service(arrival, size, is_write, kind="data"))
+        assert cf.scheduler.pending_writes == 0
+    assert cf.drain() == fifo.drain() == 0.0
+    assert (cf.next_free, cf.stats.busy_cycles, cf.stats.requests) \
+        == (fifo.next_free, fifo.stats.busy_cycles, fifo.stats.requests)
+
+
 def test_critical_first_gap_fits_before_demand_traffic():
     ch = _channel(CriticalFirstScheduler(capacity=8))
     ch.service(0.0, 32, is_write=True, kind="mac")  # 1-cycle occupancy
