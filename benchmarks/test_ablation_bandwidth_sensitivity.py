@@ -5,14 +5,15 @@ with utilisation (the paper's core observation about which workloads
 suffer), while SHM stays flat.
 """
 
-from repro.eval.experiments import ablation_bandwidth_sensitivity
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_overheads
 
 from conftest import once
 
 
 def test_ablation_bandwidth_sensitivity(benchmark, runner):
-    result = once(benchmark, ablation_bandwidth_sensitivity, runner, "kmeans")
+    result = once(benchmark, run_experiment,
+                  "ablation_bandwidth_sensitivity", runner, ["kmeans"])
     print("\n" + format_overheads(
         result, title="Ablation: overhead vs bandwidth utilisation (kmeans)"
     ))

@@ -5,7 +5,7 @@ The paper fixes the MDCs at 2 KB each (Table VI) and the chunk size at
 sensible points of their curves.
 """
 
-from repro.eval.experiments import ablation_chunk_size, ablation_mdc_size
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_overheads
 from repro.sim.stats import mean
 
@@ -15,7 +15,8 @@ WORKLOADS = ["fdtd2d", "kmeans", "bfs", "histo"]
 
 
 def test_ablation_mdc_size(benchmark, runner):
-    result = once(benchmark, ablation_mdc_size, runner, WORKLOADS)
+    result = once(benchmark, run_experiment, "ablation_mdc_size", runner,
+                  WORKLOADS)
     print("\n" + format_overheads(
         result, title="Ablation: MDC capacity (PSSM, per-partition)"
     ))
@@ -27,7 +28,8 @@ def test_ablation_mdc_size(benchmark, runner):
 
 
 def test_ablation_chunk_size(benchmark, runner):
-    result = once(benchmark, ablation_chunk_size, runner, WORKLOADS)
+    result = once(benchmark, run_experiment, "ablation_chunk_size", runner,
+                  WORKLOADS)
     print("\n" + format_overheads(
         result, title="Ablation: dual-granularity chunk size (SHM)"
     ))

@@ -5,7 +5,7 @@ that unlimited trackers buy only ~1.3pp more.  This bench sweeps the
 MAT count to show the knee.
 """
 
-from repro.eval.experiments import ablation_detector_sizing
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_overheads
 from repro.sim.stats import mean
 
@@ -15,8 +15,8 @@ WORKLOADS = ["fdtd2d", "kmeans", "bfs", "histo"]
 
 
 def test_ablation_detector_sizing(benchmark, runner):
-    result = once(benchmark, ablation_detector_sizing, runner, WORKLOADS,
-                  [2, 8, 32])
+    result = once(benchmark, run_experiment, "ablation_detector_sizing",
+                  runner, WORKLOADS)
     print("\n" + format_overheads(
         result, title="Ablation: MAT count (2 / 8 / 32 per partition)"
     ))

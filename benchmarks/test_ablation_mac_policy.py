@@ -6,7 +6,7 @@ write traffic for read traffic.  Both are implemented; this bench
 quantifies the choice.
 """
 
-from repro.eval.experiments import ablation_mac_conflict_policy
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_overheads
 from repro.sim.stats import mean
 
@@ -16,7 +16,8 @@ WORKLOADS = ["fdtd2d", "lbm", "histo", "streamcluster", "bfs"]
 
 
 def test_ablation_mac_conflict_policy(benchmark, runner):
-    result = once(benchmark, ablation_mac_conflict_policy, runner, WORKLOADS)
+    result = once(benchmark, run_experiment, "ablation_mac_conflict", runner,
+                  WORKLOADS)
     print("\n" + format_overheads(
         result, title="Ablation: MAC conflict policy (recheck vs update both)"
     ))

@@ -4,7 +4,7 @@ Paper: 89.31% average accuracy; MP_Init dominates the mispredictions
 and MP_Aliasing is negligible.
 """
 
-from repro.eval.experiments import fig10_readonly_prediction
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_table
 from repro.sim.stats import mean
 
@@ -12,7 +12,7 @@ from conftest import once
 
 
 def test_fig10_readonly_prediction(benchmark, runner):
-    result = once(benchmark, fig10_readonly_prediction, runner)
+    result = once(benchmark, run_experiment, "fig10", runner)
     print("\n" + format_table(result, percent=True,
                               title="Fig. 10: read-only prediction breakdown"))
     correct = result.series["correct"]

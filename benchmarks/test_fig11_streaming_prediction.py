@@ -4,7 +4,7 @@ Paper: 83.36% average accuracy; some benchmarks suffer initialisation
 mispredictions, others runtime pattern changes; aliasing is small.
 """
 
-from repro.eval.experiments import fig11_streaming_prediction
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_table
 from repro.sim.stats import mean
 
@@ -12,7 +12,7 @@ from conftest import once
 
 
 def test_fig11_streaming_prediction(benchmark, runner):
-    result = once(benchmark, fig11_streaming_prediction, runner)
+    result = once(benchmark, run_experiment, "fig11", runner)
     print("\n" + format_table(result, percent=True,
                               title="Fig. 11: streaming prediction breakdown"))
     correct = result.series["correct"]

@@ -7,7 +7,7 @@ asserts the ordering and the rough factors (see EXPERIMENTS.md).
 """
 
 from repro.common.types import Scheme
-from repro.eval.experiments import fig12_overall_ipc
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_overheads
 from repro.sim.stats import mean
 
@@ -15,7 +15,7 @@ from conftest import once
 
 
 def test_fig12_overall_ipc(benchmark, runner):
-    result = once(benchmark, fig12_overall_ipc, runner)
+    result = once(benchmark, run_experiment, "fig12", runner)
     print("\n" + format_overheads(result,
                                   title="Fig. 12: performance overheads"))
     avg = {label: mean(series.values())

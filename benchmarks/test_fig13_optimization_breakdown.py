@@ -5,7 +5,7 @@ Paper: PSSM -> +common counters (+1.2pp) -> read-only optimisation
 (+0.4pp over SHM).
 """
 
-from repro.eval.experiments import fig13_optimization_breakdown
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_overheads
 from repro.sim.stats import mean
 
@@ -13,7 +13,7 @@ from conftest import once
 
 
 def test_fig13_optimization_breakdown(benchmark, runner):
-    result = once(benchmark, fig13_optimization_breakdown, runner)
+    result = once(benchmark, run_experiment, "fig13", runner)
     print("\n" + format_overheads(result,
                                   title="Fig. 13: optimisation breakdown"))
     avg = {label: mean(series.values())

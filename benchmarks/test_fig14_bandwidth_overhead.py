@@ -4,7 +4,7 @@ Paper averages: Naive 189.07%, PSSM 17.1%, SHM_readOnly 13.2%,
 SHM 5.95%; fdtd2d under SHM reaches 0.78%.
 """
 
-from repro.eval.experiments import fig14_bandwidth_overhead
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_table
 from repro.sim.stats import mean
 
@@ -12,7 +12,7 @@ from conftest import once
 
 
 def test_fig14_bandwidth_overhead(benchmark, runner):
-    result = once(benchmark, fig14_bandwidth_overhead, runner)
+    result = once(benchmark, run_experiment, "fig14", runner)
     print("\n" + format_table(result, percent=True,
                               title="Fig. 14: metadata bandwidth overhead"))
     avg = {label: mean(series.values())

@@ -4,7 +4,7 @@ Paper: Naive 215.06% -> SHM 106.09% (i.e. 6.09% energy overhead over
 the unprotected GPU).
 """
 
-from repro.eval.experiments import fig15_energy
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_table
 from repro.sim.stats import mean
 
@@ -12,7 +12,7 @@ from conftest import once
 
 
 def test_fig15_energy(benchmark, runner):
-    result = once(benchmark, fig15_energy, runner)
+    result = once(benchmark, run_experiment, "fig15", runner)
     print("\n" + format_table(result, percent=True,
                               title="Fig. 15: normalised energy/instruction"))
     avg = {label: mean(series.values())

@@ -5,14 +5,14 @@ streaming); matrix/streaming kernels (atax, mvt, kmeans, streamcluster)
 are high on both; graph/scatter workloads (bfs, mri-gridding) are low.
 """
 
-from repro.eval.experiments import fig5_access_ratios
+from repro.eval.experiments import run_experiment
 from repro.eval.reporting import format_table
 
 from conftest import once
 
 
 def test_fig5_access_ratios(benchmark, runner):
-    result = once(benchmark, fig5_access_ratios, runner)
+    result = once(benchmark, run_experiment, "fig5", runner)
     print("\n" + format_table(result, percent=True,
                               title="Fig. 5: streaming / read-only ratios"))
     stream = result.series["streaming"]

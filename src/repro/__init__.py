@@ -38,7 +38,7 @@ from repro.core import (
     VictimController,
 )
 from repro.eval import EnergyModel
-from repro.sim import GPUSimulator, Runner, RunResult, TraceProfile, shared_runner
+from repro.sim import GPUSimulator, Runner, RunResult, TraceProfile
 from repro.workloads import BENCHMARK_NAMES, Workload, WorkloadBuilder, build_suite
 
 __version__ = "1.0.0"
@@ -66,7 +66,6 @@ __all__ = [
     "Runner",
     "RunResult",
     "TraceProfile",
-    "shared_runner",
     "BENCHMARK_NAMES",
     "Workload",
     "WorkloadBuilder",

@@ -28,16 +28,17 @@ from repro.eval.reporting import format_overheads, format_table
 from repro.sim.runner import Runner
 from repro.workloads.suite import BENCHMARK_NAMES
 
-#: Figure number -> (driver, render-as-overheads?, title).
+#: Figure number N -> (render-as-overheads?, title); ``repro figure N``
+#: runs the registered experiment ``fig<N>``.
 FIGURES = {
-    "5": (exp.fig5_access_ratios, False, "Fig. 5: streaming / read-only access ratios"),
-    "10": (exp.fig10_readonly_prediction, False, "Fig. 10: read-only prediction breakdown"),
-    "11": (exp.fig11_streaming_prediction, False, "Fig. 11: streaming prediction breakdown"),
-    "12": (exp.fig12_overall_ipc, True, "Fig. 12: performance overheads"),
-    "13": (exp.fig13_optimization_breakdown, True, "Fig. 13: optimisation breakdown"),
-    "14": (exp.fig14_bandwidth_overhead, False, "Fig. 14: metadata bandwidth overhead"),
-    "15": (exp.fig15_energy, False, "Fig. 15: normalised energy per instruction"),
-    "16": (exp.fig16_victim_cache, True, "Fig. 16: L2 as a metadata victim cache"),
+    "5": (False, "Fig. 5: streaming / read-only access ratios"),
+    "10": (False, "Fig. 10: read-only prediction breakdown"),
+    "11": (False, "Fig. 11: streaming prediction breakdown"),
+    "12": (True, "Fig. 12: performance overheads"),
+    "13": (True, "Fig. 13: optimisation breakdown"),
+    "14": (False, "Fig. 14: metadata bandwidth overhead"),
+    "15": (False, "Fig. 15: normalised energy per instruction"),
+    "16": (True, "Fig. 16: L2 as a metadata victim cache"),
 }
 
 
@@ -534,11 +535,11 @@ def cmd_dash(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.number not in FIGURES:
-        raise SystemExit(f"no driver for figure {args.number!r}; "
+        raise SystemExit(f"no experiment for figure {args.number!r}; "
                          f"available: {', '.join(sorted(FIGURES))}")
-    driver, as_overheads, title = FIGURES[args.number]
-    runner = Runner(scale=args.scale)
-    result = driver(runner, args.workloads)
+    as_overheads, title = FIGURES[args.number]
+    result = exp.run_experiment(f"fig{args.number}", Runner(scale=args.scale),
+                                args.workloads or None)
     if args.chart:
         from repro.eval.plotting import breakdown_bars, grouped_bars
 
@@ -789,7 +790,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     runner = Runner(scale=args.scale)
 
-    for number, (driver, as_overheads, title) in sorted(
+    for number, (as_overheads, title) in sorted(
         FIGURES.items(), key=lambda kv: int(kv[0])
     ):
         if number == "16" and args.scale < 0.9:
@@ -797,7 +798,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                   f"realistic L2 thrash; rerun with --scale 1.0)")
             continue
         print(f"figure {number}: running ...")
-        result = driver(runner, None)
+        result = exp.run_experiment(f"fig{number}", runner)
         text = (format_overheads(result, title=title) if as_overheads
                 else format_table(result, percent=True, title=title))
         (outdir / f"fig{number}.txt").write_text(text + "\n")

@@ -1,4 +1,4 @@
-"""Evaluation harness: per-figure experiments, the campaign engine,
+"""Evaluation harness: the experiment registry, the campaign engine,
 energy model and reporting."""
 
 from repro.eval.campaign import (
@@ -15,19 +15,7 @@ from repro.eval.energy import EnergyModel
 from repro.eval.experiments import (
     EXPERIMENTS,
     ExperimentResult,
-    ablation_bandwidth_sensitivity,
-    ablation_chunk_size,
-    ablation_detector_sizing,
-    ablation_mac_conflict_policy,
-    ablation_mdc_size,
-    fig5_access_ratios,
-    fig10_readonly_prediction,
-    fig11_streaming_prediction,
-    fig12_overall_ipc,
-    fig13_optimization_breakdown,
-    fig14_bandwidth_overhead,
-    fig15_energy,
-    fig16_victim_cache,
+    run_experiment,
     table9_hardware_overhead,
 )
 from repro.eval.plotting import breakdown_bars, grouped_bars, hbar
@@ -59,19 +47,7 @@ __all__ = [
     "serialize_run_result",
     "EnergyModel",
     "ExperimentResult",
-    "ablation_bandwidth_sensitivity",
-    "ablation_chunk_size",
-    "ablation_detector_sizing",
-    "ablation_mac_conflict_policy",
-    "ablation_mdc_size",
-    "fig5_access_ratios",
-    "fig10_readonly_prediction",
-    "fig11_streaming_prediction",
-    "fig12_overall_ipc",
-    "fig13_optimization_breakdown",
-    "fig14_bandwidth_overhead",
-    "fig15_energy",
-    "fig16_victim_cache",
+    "run_experiment",
     "table9_hardware_overhead",
     "breakdown_bars",
     "grouped_bars",

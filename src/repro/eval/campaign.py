@@ -8,9 +8,10 @@ finished cells into an :class:`ExperimentResult`.  This module runs
 those matrices two ways, with identical results:
 
 * **Serial** (:func:`run_cells_serial`): in-process against one shared
-  :class:`repro.sim.runner.Runner` — what the classic ``fig*`` driver
-  functions use, fastest for a handful of cells because it starts no
-  processes and builds each workload once.
+  :class:`repro.sim.runner.Runner` — what
+  :func:`repro.eval.experiments.run_experiment` (``repro figure``)
+  uses, fastest for a handful of cells because it starts no processes
+  and builds each workload once.
 * **Campaign** (:func:`run_campaign`): cells fan out over a
   ``ProcessPoolExecutor`` worker pool (per-job timeouts, bounded
   retries with backoff — see :mod:`repro.sim.parallel`), every
@@ -422,12 +423,13 @@ class _SerialEvaluator:
 
 def run_cells_serial(runner: Runner, jobs: Sequence[JobSpec],
                      strict: bool = True) -> List[CellRecord]:
-    """Execute a job matrix in-process on ``runner`` — the "old serial
-    path" every classic ``fig*`` driver routes through.
+    """Execute a job matrix in-process on ``runner``, the serial path
+    of :func:`repro.eval.experiments.run_experiment`.
 
-    With ``strict=True`` (the drivers' behaviour) a cell's exception
-    propagates; with ``strict=False`` (the campaign's ``--serial``
-    mode) it is captured on the record like the worker pool would.
+    With ``strict=True`` (``run_experiment``'s behaviour) a cell's
+    exception propagates; with ``strict=False`` (the campaign's
+    ``--serial`` mode) it is captured on the record like the worker
+    pool would.
     """
     evaluator = _SerialEvaluator(runner)
     records: List[CellRecord] = []

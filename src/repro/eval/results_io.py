@@ -313,32 +313,52 @@ def stable_hash(obj: Any) -> str:
 
 _code_version: Optional[str] = None
 
+#: The package whose own ``.py`` sources :func:`code_version` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git_commit() -> str:
+    """The commit checked out at the package root ("" without git)."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short=12", "HEAD"],
+            cwd=_PACKAGE_ROOT, capture_output=True, text=True, timeout=5,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return ""
+
+
+def _source_digest() -> str:
+    """A digest of the package's ``.py`` sources: paths and contents."""
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(_PACKAGE_ROOT).as_posix()
+                       for path in _PACKAGE_ROOT.rglob("*.py")):
+        digest.update(name.encode("utf-8") + b"\0")
+        digest.update((_PACKAGE_ROOT / name).read_bytes() + b"\0")
+    return digest.hexdigest()[:12]
+
 
 def code_version() -> str:
     """The simulator version folded into every cell address, so a code
     change invalidates stale results rather than serving them.
 
-    Resolution order: the ``REPRO_CODE_VERSION`` environment variable
-    (CI can pin it), the git commit of the source tree, and finally
-    the package version for installs without git.
+    The ``REPRO_CODE_VERSION`` environment variable (CI can pin it)
+    wins.  Otherwise the version is ``<commit>+<digest>``: the git
+    commit of the source tree (the package version without git) as a
+    readable prefix, and a digest of the package's own ``.py``
+    sources, so an edit that is not committed yet changes it too.
+    Resolved once per process.
     """
     global _code_version
     if _code_version is None:
         _code_version = os.environ.get("REPRO_CODE_VERSION") or ""
         if not _code_version:
-            try:
-                _code_version = subprocess.run(
-                    ["git", "rev-parse", "--short=12", "HEAD"],
-                    cwd=Path(__file__).resolve().parent,
-                    capture_output=True, text=True, timeout=5,
-                    check=True,
-                ).stdout.strip()
-            except (OSError, subprocess.SubprocessError):
-                _code_version = ""
-        if not _code_version:
             import repro
 
-            _code_version = getattr(repro, "__version__", "unknown")
+            prefix = _git_commit() or getattr(repro, "__version__",
+                                               "unknown")
+            _code_version = f"{prefix}+{_source_digest()}"
     return _code_version
 
 

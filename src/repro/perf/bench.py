@@ -396,8 +396,9 @@ def measure_ledger_overhead(workload: str = "atax", scheme: str = "shm",
 
 
 def default_output_name(doc: dict) -> str:
-    """``BENCH_<shortsha>.json`` (``BENCH_local.json`` without git)."""
-    sha = doc.get("environment", {}).get("git_sha", "")
+    """``BENCH_<shortsha>.json`` (``BENCH_local.json`` without git);
+    the sha is the commit prefix of the recorded code version."""
+    sha = doc.get("environment", {}).get("git_sha", "").split("+")[0]
     short = sha[:8] if sha and all(c in "0123456789abcdef" for c in sha) \
         else "local"
     return f"BENCH_{short}.json"

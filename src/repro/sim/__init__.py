@@ -5,7 +5,7 @@ from repro.sim.events import CompletionWindow
 from repro.sim.gpu import GPUSimulator, L2_HIT_LATENCY
 from repro.sim.parallel import JobOutcome, execute_jobs
 from repro.sim.profiling import TraceProfile
-from repro.sim.runner import Calibration, Runner, shared_runner
+from repro.sim.runner import Calibration, Runner
 from repro.sim.stats import L2Stats, RunResult, geomean, mean
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "TraceProfile",
     "Calibration",
     "Runner",
-    "shared_runner",
     "L2Stats",
     "RunResult",
     "geomean",

@@ -222,13 +222,3 @@ class Runner:
             region_size=region_size, chunk_size=chunk_size,
         ).ingest(recorder.streams)
         return Calibration(window=window, profile=profile, baseline=baseline)
-
-
-_shared_runners: Dict[float, Runner] = {}
-
-
-def shared_runner(scale: float = 1.0) -> Runner:
-    """A process-wide runner so benchmarks share calibration and runs."""
-    if scale not in _shared_runners:
-        _shared_runners[scale] = Runner(scale=scale)
-    return _shared_runners[scale]

@@ -5,7 +5,7 @@ A *suite spec* is a plain JSON/TOML-serialisable dict (``suite_format:
 1``) naming buffers, phases and pattern steps; :func:`build_workload`
 lowers it onto the existing :class:`repro.workloads.base.Workload` /
 :class:`~repro.workloads.base.Kernel` model, so every scheme, policy
-stack and figure driver runs composed suites unchanged.  The
+stack and experiment runs composed suites unchanged.  The
 :class:`Composer` builder API produces the same spec programmatically
 — ``Composer(...).build()`` and ``build_workload(composer.to_spec())``
 are definitionally identical (the builder lowers *through* its spec).

@@ -16,7 +16,6 @@ from repro.eval.campaign import (
     _calibration_waves,
     cell_key,
     run_campaign,
-    run_cells_serial,
     run_smoke,
 )
 from repro.eval.results_io import serialize_run_result
@@ -463,18 +462,14 @@ class TestRegistry:
                 assert job.scale == SCALE
 
     def test_classic_driver_matches_campaign(self, suite_runner):
-        """The refactored fig12 driver and the campaign engine are the
-        same computation: same cells, same aggregate."""
-        from repro.eval import experiments as exp
+        """The serial entry point and the campaign engine are the same
+        computation: same cells, same aggregate."""
+        from repro.eval.experiments import run_experiment
 
-        classic = exp.fig12_overall_ipc(suite_runner, ["atax"])
-        spec = exp.EXPERIMENTS["fig12"]
-        records = run_cells_serial(
-            suite_runner, spec.jobs(["atax"], suite_runner.config,
-                                    suite_runner.scale))
-        via_engine = spec.aggregate(records)
-        for label, series in classic.series.items():
-            assert via_engine.series[label] == pytest.approx(series)
+        serial = run_experiment("fig12", suite_runner, ["atax"])
+        report = run_campaign(["fig12"], workloads=["atax"],
+                              scale=suite_runner.scale, serial=True)
+        assert report.results["fig12"].series == serial.series
 
 
 class TestCellMetrics:

@@ -25,8 +25,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "doom3"])
 
-    def test_all_paper_figures_have_drivers(self):
+    def test_every_figure_names_a_registered_experiment(self):
+        from repro.eval.experiments import EXPERIMENTS
+
         assert set(FIGURES) == {"5", "10", "11", "12", "13", "14", "15", "16"}
+        for number in FIGURES:
+            assert f"fig{number}" in EXPERIMENTS
 
 
 class TestCommands:
@@ -52,6 +56,20 @@ class TestCommands:
                      "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 5" in out and "atax" in out
+
+    def test_figure_with_empty_workloads_runs_the_default_set(
+            self, monkeypatch, capsys):
+        from repro.eval import experiments
+
+        calls = []
+
+        def run_experiment(name, runner, workloads=None):
+            calls.append((name, workloads))
+            return experiments.ExperimentResult(name)
+
+        monkeypatch.setattr(experiments, "run_experiment", run_experiment)
+        assert main(["figure", "12", "--workloads", "--scale", "0.05"]) == 0
+        assert calls == [("fig12", None)]
 
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):

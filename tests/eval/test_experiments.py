@@ -1,10 +1,10 @@
-"""Experiment drivers: structure and static tables."""
+"""Registered experiments run serially: structure and static tables."""
 
 import pytest
 
 from repro.common.config import DetectorConfig
-from repro.common.types import Scheme
 from repro.eval import experiments as exp
+from repro.eval.campaign import run_cells_serial
 from repro.eval.reporting import format_overheads, format_table, summarize_averages
 
 
@@ -39,11 +39,13 @@ SMALL = ["atax", "histo"]
 
 @pytest.fixture(scope="module")
 def small_results(suite_runner):
+    fig12 = exp.EXPERIMENTS["fig12"]
+    jobs = [job for job in fig12.jobs(SMALL, suite_runner.config,
+                                      suite_runner.scale)
+            if job.scheme in ("pssm", "shm")]
     return {
-        "fig5": exp.fig5_access_ratios(suite_runner, SMALL),
-        "fig12": exp.fig12_overall_ipc(
-            suite_runner, SMALL, schemes=[Scheme.PSSM, Scheme.SHM]
-        ),
+        "fig5": exp.run_experiment("fig5", suite_runner, SMALL),
+        "fig12": fig12.aggregate(run_cells_serial(suite_runner, jobs)),
     }
 
 
@@ -62,13 +64,13 @@ class TestDrivers:
             assert all(0.0 < v <= 1.001 for v in series.values())
 
     def test_fig10_fractions(self, suite_runner):
-        fig10 = exp.fig10_readonly_prediction(suite_runner, ["atax"])
+        fig10 = exp.run_experiment("fig10", suite_runner, ["atax"])
         total = sum(fig10.series[c]["atax"]
                     for c in ("correct", "mp_init", "mp_aliasing"))
         assert total == pytest.approx(1.0, abs=0.05)
 
     def test_fig11_fractions(self, suite_runner):
-        fig11 = exp.fig11_streaming_prediction(suite_runner, ["atax"])
+        fig11 = exp.run_experiment("fig11", suite_runner, ["atax"])
         total = sum(series["atax"] for series in fig11.series.values())
         assert total == pytest.approx(1.0, abs=0.05)
 
@@ -88,3 +90,57 @@ class TestReporting:
         summary = summarize_averages(small_results["fig12"])
         assert set(summary) == {"pssm", "shm"}
         assert all(s.endswith("%") for s in summary.values())
+
+
+class TestChunkSizeAblation:
+    """A chunk-size cell scores its streaming predictions against a
+    ground-truth profile chunked at its own size, on both paths."""
+
+    SCALE = 0.05
+
+    def _spec(self):
+        import dataclasses
+
+        spec = exp.EXPERIMENTS["ablation_chunk_size"]
+        return dataclasses.replace(spec, jobs=lambda w, c, s: [
+            job for job in spec.jobs(["bfs"], c, s)
+            if job.series in ("chunk_4kb", "chunk_8kb")])
+
+    def test_cell_scores_against_its_own_chunk_profile(self):
+        from dataclasses import replace
+
+        from repro.common.config import SimConfig
+        from repro.common.types import Scheme
+        from repro.sim.runner import Runner
+
+        [job] = [job for job in self._spec().jobs(None, SimConfig(),
+                                                  self.SCALE)
+                 if job.series == "chunk_8kb"]
+        [record] = run_cells_serial(Runner(scale=self.SCALE), [job])
+        detectors = DetectorConfig(stream_chunk_size=8192,
+                                   monitor_accesses=64)
+        base = SimConfig()
+        config = replace(base,
+                         scheme=replace(base.scheme, detectors=detectors))
+        reference = Runner(config=config, scale=self.SCALE).run(
+            "bfs", Scheme.SHM, detectors=detectors)
+        assert record.result.streaming_stats == reference.streaming_stats
+        assert record.result.cycles == reference.cycles
+
+    def test_pool_and_serial_agree(self):
+        from repro.eval.campaign import run_campaign
+        from repro.eval.results_io import serialize_run_result
+
+        specs = {"ablation_chunk_size": self._spec()}
+
+        def cells(**mode):
+            report = run_campaign(["ablation_chunk_size"], scale=self.SCALE,
+                                  specs=specs, **mode)
+            assert report.totals["failed"] == 0
+            return {rec.job.series: (serialize_run_result(rec.result),
+                                     serialize_run_result(rec.baseline))
+                    for rec in report.records["ablation_chunk_size"]}
+
+        serial = cells(serial=True)
+        assert set(serial) == {"chunk_4kb", "chunk_8kb"}
+        assert cells(jobs=1) == serial

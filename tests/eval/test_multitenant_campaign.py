@@ -125,8 +125,8 @@ class TestExecution:
 
     def test_campaign_pool_equals_serial(self, tmp_path):
         spec = EXPERIMENTS["ablation_multitenant_contention"]
-        jobs_fn = lambda w, c, s: _multitenant_jobs(w, c, s,
-                                                    tenant_counts=[2])
+        jobs_fn = lambda w, c, s: [job for job in _multitenant_jobs(w, c, s)
+                                   if job.workload == "mt2"]
         import dataclasses
         small = dataclasses.replace(spec, jobs=jobs_fn)
         specs = {spec.name: small}
@@ -140,8 +140,8 @@ class TestExecution:
 
     def test_store_resume_serves_composed_cells(self, tmp_path):
         spec = EXPERIMENTS["suite_phase_churn"]
-        jobs_fn = lambda w, c, s: _phase_churn_jobs(w, c, s,
-                                                    churn_levels=[0.5])
+        jobs_fn = lambda w, c, s: [job for job in _phase_churn_jobs(w, c, s)
+                                   if job.workload == "mt4_churn50"]
         import dataclasses
         specs = {spec.name: dataclasses.replace(spec, jobs=jobs_fn)}
         kwargs = dict(scale=SCALE, serial=True, specs=specs,

@@ -154,6 +154,50 @@ class TestStableHash:
         assert stable_hash(base) != stable_hash(varied)
 
 
+class TestCodeVersion:
+    @pytest.fixture
+    def package(self, tmp_path, monkeypatch):
+        """A copy of the package outside git, with the cached version
+        cleared: what ``code_version`` hashes is then this copy."""
+        import shutil
+
+        from repro.eval import results_io
+
+        root = tmp_path / "repro"
+        shutil.copytree(results_io._PACKAGE_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        monkeypatch.setattr(results_io, "_PACKAGE_ROOT", root)
+        monkeypatch.setattr(results_io, "_code_version", None)
+        return root
+
+    def test_source_edit_changes_the_version(self, package, monkeypatch):
+        from repro.eval import results_io
+
+        before = results_io.code_version()
+        constants = package / "common" / "constants.py"
+        constants.write_text(constants.read_text() + "\nDRAM_LATENCY = 999\n")
+        monkeypatch.setattr(results_io, "_code_version", None)
+        after = results_io.code_version()
+        assert before != after
+        # Without git the package version is the readable prefix.
+        assert before.split("+")[0] == after.split("+")[0]
+
+    def test_unchanged_sources_give_the_same_version(self, package,
+                                                     monkeypatch):
+        from repro.eval import results_io
+
+        first = results_io.code_version()
+        monkeypatch.setattr(results_io, "_code_version", None)
+        assert results_io.code_version() == first
+
+    def test_environment_override_wins(self, package, monkeypatch):
+        from repro.eval import results_io
+
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        assert results_io.code_version() == "pinned"
+
+
 class TestResultStore:
     def test_put_get_roundtrip(self, tmp_path):
         from repro.eval.results_io import ResultStore

@@ -1,13 +1,14 @@
-"""Optional bank-level row-buffer model."""
+"""Bank-level row-buffer model (a channel under BankedScheduler)."""
 
 import pytest
 
 from repro.memory.dram import DRAMChannel
+from repro.memory.sched import BankedScheduler
 
 
 def make(penalty=20.0, banks=4):
-    return DRAMChannel(bytes_per_cycle=32, latency=0, num_banks=banks,
-                       row_bytes=2048, row_miss_penalty=penalty)
+    return DRAMChannel(bytes_per_cycle=32, latency=0,
+                       scheduler=BankedScheduler(banks, 2048, penalty))
 
 
 class TestRowBuffer:
@@ -53,11 +54,3 @@ class TestRowBuffer:
     def test_unknown_address_skips_model(self):
         ch = make()
         assert ch.service(0, 32) == pytest.approx(1)  # address=-1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DRAMChannel(num_banks=0)
-        with pytest.raises(ValueError):
-            DRAMChannel(row_bytes=1000)
-        with pytest.raises(ValueError):
-            DRAMChannel(row_miss_penalty=-1)

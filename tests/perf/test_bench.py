@@ -104,6 +104,9 @@ class TestExecution:
             {"environment": {"git_sha": "0123abcd4567"}}
         ) == "BENCH_0123abcd.json"
         assert bench.default_output_name(
+            {"environment": {"git_sha": "0123abcd4567+89ab01cd23ef"}}
+        ) == "BENCH_0123abcd.json"
+        assert bench.default_output_name(
             {"environment": {"git_sha": "not-a-sha!"}}
         ) == "BENCH_local.json"
         assert bench.default_output_name({}) == "BENCH_local.json"
