@@ -13,6 +13,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=[],
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "lint": ["ruff", "mypy"],
+        "examples": ["numpy"],
+    },
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

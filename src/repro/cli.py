@@ -12,6 +12,7 @@ Examples::
     python -m repro campaign all --manifest campaign.json
     python -m repro inspect campaign.json
     python -m repro campaign --smoke --store /tmp/repro-store
+    python -m repro diff old-campaign.json campaign.json --threshold 0
     python -m repro suite --list
     python -m repro hardware
 """
@@ -229,72 +230,11 @@ def _inspect_decisions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _inspect_events(args: argparse.Namespace) -> int:
-    """Pretty-print / filter a campaign event log (``--events``)."""
-    from repro.obs.events import read_events
-
-    try:
-        rows = read_events(args.path, strict=False)
-    except OSError as exc:
-        raise SystemExit(f"cannot read {args.path}: {exc}")
-    if args.worker:
-        rows = [r for r in rows if str(r.get("worker", "")) == args.worker]
-    if args.cell:
-        rows = [r for r in rows if args.cell in str(r.get("cell", ""))]
-    if args.type:
-        rows = [r for r in rows if r.get("type") == args.type]
-    if not rows:
-        print("no events match the filter")
-        return 0
-    t0 = min(float(r.get("ts") or 0.0) for r in rows)
-    envelope = ("seq", "ts", "type", "campaign", "cell", "worker")
-    print(f"{'seq':>5s} {'t+s':>8s} {'type':20s} {'worker':>8s} "
-          f"{'cell':26s} detail")
-    for row in rows:
-        cell = str(row.get("cell", "-"))
-        detail = " ".join(
-            f"{key}={row[key]}" for key in sorted(row)
-            if key not in envelope
-        )
-        print(f"{row.get('seq', '-'):>5} "
-              f"{float(row.get('ts') or 0.0) - t0:8.2f} "
-              f"{row.get('type', '?'):20s} "
-              f"{str(row.get('worker', '-')):>8s} "
-              f"{cell[:26]:26s} {detail}")
-    print(f"\n{len(rows)} event(s)")
-    return 0
-
-
-def _print_store_history(store_path: str,
-                         campaign: Optional[str] = None) -> None:
-    """The store-backed campaign history (``inspect --store``)."""
-    from repro.obs.store import TelemetryStore
-
-    with TelemetryStore(store_path) as store:
-        history = store.campaign_history(limit=15)
-        if not history:
-            print(f"\n{store_path}: no campaigns recorded yet")
-            return
-        print(f"\nstore history ({store_path}):")
-        print(f"{'campaign':>14s} {'code':>14s} {'cells':>6s} "
-              f"{'failed':>7s} {'elapsed':>8s}  experiments")
-        for run in history:
-            mark = " *" if campaign and run["campaign"] == campaign else "  "
-            totals = run["totals"]
-            print(f"{run['campaign']:>14s} {run['code_version']:>14s} "
-                  f"{totals.get('cells', '-'):>6} "
-                  f"{totals.get('failed', '-'):>7} "
-                  f"{run['elapsed_s']:7.1f}s{mark} "
-                  f"{', '.join(run['experiments'])}")
-        if campaign:
-            print("(* = the inspected manifest's campaign)")
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
     """Render a campaign manifest, a time-sliced table from a
-    --metrics-out JSONL file, an event log (--events),
-    (--host-profile) a live host-time profile of the simulator, or
-    (--decisions) a live security decision-provenance view."""
+    --metrics-out JSONL file, (--host-profile) a live host-time profile
+    of the simulator, or (--decisions) a live security
+    decision-provenance view."""
     import json
 
     from repro.eval.reporting import (
@@ -311,8 +251,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if not args.path:
         raise SystemExit(
             "inspect needs a PATH (or --host-profile / --decisions)")
-    if args.events:
-        return _inspect_events(args)
 
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
@@ -323,8 +261,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         document = None  # not a single JSON document; try JSONL below
     if isinstance(document, dict) and "campaign_format" in document:
         print(format_campaign_manifest(document, verbose=args.cells))
-        if args.store:
-            _print_store_history(args.store, document.get("campaign"))
         return 0
 
     try:
@@ -356,14 +292,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the pinned micro+macro benchmark matrix, emit a
     schema-valid ``BENCH_*.json``, and optionally gate against a
-    baseline (exit 3 on a median regression beyond the threshold).
-
-    Baselines come from a committed document (``--compare``), the
-    telemetry store's rolling median (``--against-store``), or both;
-    ``--record-store`` lands the run (or an existing ``--against``
-    document) in the store so the trajectory stays queryable, and
-    ``--report`` writes the machine-readable per-cell comparison for
-    CI artifacts.
+    committed baseline document (``--compare``; exit 3 on a median
+    regression beyond the threshold).  ``--report`` writes the
+    machine-readable per-cell comparison for CI artifacts.
     """
     import json
     from pathlib import Path
@@ -391,68 +322,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {args.ledger_overhead}")
         return 0
 
-    def record_store(doc: dict) -> None:
-        if not args.record_store:
-            return
-        from repro.obs.store import TelemetryStore
-
-        with TelemetryStore(args.record_store) as store:
-            store.record_bench(doc)
-        print(f"recorded bench run in {args.record_store}")
-        if args.events:
-            from repro.obs.events import EventLog
-
-            with EventLog(args.events) as log:
-                log.emit("bench_recorded",
-                         git_rev=doc.get("environment", {}).get("git_sha", ""),
-                         benchmarks={
-                             name: entry["stats"]["median"]
-                             for name, entry in sorted(
-                                 doc["benchmarks"].items())
-                         })
-
     def gate(doc: dict) -> int:
-        """Run every requested comparison; write the report artifact;
-        exit 3 when any baseline flags a regression."""
+        """Compare with ``--compare`` when given; write the report
+        artifact; exit 3 when the baseline flags a regression."""
         exit_code = 0
         reports = []
-
-        def one(rows, label: str) -> None:
-            nonlocal exit_code
-            print()
-            print(format_bench_compare(rows, args.threshold,
-                                       title=f"vs {label}"))
-            reports.append(compare_mod.compare_report(
-                rows, args.threshold, baseline=label))
-            flagged = compare_mod.regressions(rows)
-            if flagged:
-                exit_code = 3
-            if args.events and flagged:
-                from repro.obs.events import EventLog
-
-                with EventLog(args.events) as log:
-                    for row in flagged:
-                        log.emit("regression_flagged", benchmark=row.name,
-                                 old_median=row.old_median,
-                                 new_median=row.new_median,
-                                 ratio=round(row.ratio, 4))
-
         if args.compare:
             try:
                 old = validate_file(args.compare)
             except (OSError, BenchSchemaError) as exc:
                 raise SystemExit(str(exc))
-            one(compare_mod.compare_docs(old, doc, args.threshold),
-                f"baseline {args.compare}")
-        if args.against_store:
-            try:
-                rows = compare_mod.against_store(
-                    doc, args.against_store, args.threshold,
-                    window=args.store_window)
-            except ValueError as exc:
-                raise SystemExit(str(exc))
-            one(rows, f"store rolling median "
-                      f"({args.against_store}, window {args.store_window})")
+            rows = compare_mod.compare_docs(old, doc, args.threshold)
+            label = f"baseline {args.compare}"
+            print()
+            print(format_bench_compare(rows, args.threshold,
+                                       title=f"vs {label}"))
+            reports.append(compare_mod.compare_report(
+                rows, args.threshold, baseline=label))
+            if compare_mod.regressions(rows):
+                exit_code = 3
         if args.report:
             Path(args.report).write_text(json.dumps(
                 {"bench_report_format": 1, "reports": reports},
@@ -461,15 +349,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return exit_code
 
     if args.against:
-        # Offline mode: gate/record an existing document, no run.
-        if not (args.compare or args.against_store or args.record_store):
-            raise SystemExit("--against requires --compare OLD.json, "
-                             "--against-store DB, or --record-store DB")
+        # Offline mode: gate an existing document, no run.
+        if not args.compare:
+            raise SystemExit("--against requires --compare OLD.json")
         try:
             new = validate_file(args.against)
         except (OSError, BenchSchemaError) as exc:
             raise SystemExit(str(exc))
-        record_store(new)
         return gate(new)
 
     doc = bench_mod.run_bench(
@@ -483,54 +369,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print()
     print(format_bench_table(doc, title="repro bench"))
     print(f"\nwrote {output}")
-    record_store(doc)
     return gate(doc)
-
-
-def cmd_dash(args: argparse.Namespace) -> int:
-    """Render campaign telemetry: a live text dashboard by default
-    (repainting until the campaign finishes), a single frame with
-    --once, or a static self-contained HTML report with --html."""
-    from pathlib import Path
-
-    from repro.obs.dash import DashboardState, follow, render_text, write_html
-    from repro.obs.events import read_events
-
-    path = Path(args.path)
-    if path.is_dir():
-        path = path / "events.jsonl"
-
-    store = None
-    store_path = args.store
-    if store_path is None:
-        default = path.parent / "telemetry.db"
-        store_path = str(default) if default.exists() else None
-    if store_path is not None:
-        from repro.obs.store import TelemetryStore
-
-        store = TelemetryStore(store_path)
-
-    try:
-        if args.html:
-            if not path.exists():
-                raise SystemExit(f"no event log at {path}")
-            state = DashboardState.from_events(
-                read_events(path, strict=False))
-            write_html(state, args.html, store=store)
-            print(f"wrote dashboard to {args.html}")
-            return 0
-        if args.once:
-            state = DashboardState()
-            if path.exists():
-                state = DashboardState.from_events(
-                    read_events(path, strict=False))
-            print(render_text(state))
-            return 0
-        follow(path, interval=args.interval)
-        return 0
-    finally:
-        if store is not None:
-            store.close()
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -630,41 +469,49 @@ def cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    """Run the full matrix and write a JSON snapshot (plus a summary)."""
-    from repro.eval.results_io import save_results
+def _manifest_values(path: str) -> dict:
+    """The (experiment, series, workload) values of the campaign
+    manifest at ``path``; exits with an error naming the file when it
+    is not a manifest or carries no ``series``."""
+    import json
 
-    schemes = [_parse_scheme(s) for s in args.scheme]
-    runner = Runner(scale=args.scale)
-    workloads = args.workloads or BENCHMARK_NAMES
-    snapshot = save_results(runner, args.output, workloads, schemes,
-                            metadata={"cli": True})
-    print(f"wrote {len(snapshot['results'])} results to {args.output}")
-    for scheme in schemes:
-        label = _scheme_label(scheme)
-        rows = [r for r in snapshot["results"]
-                if r["scheme"] == label and "normalized_ipc" in r]
-        if rows:
-            avg = sum(r["normalized_ipc"] for r in rows) / len(rows)
-            print(f"  {label:16s} avg normalised IPC {avg:.3f} "
-                  f"(overhead {1 - avg:.1%})")
-    return 0
+    from repro.eval.campaign import manifest_values
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read {path}: {exc}")
+    if not isinstance(manifest, dict) or "campaign_format" not in manifest:
+        raise SystemExit(f"{path}: not a campaign manifest "
+                         f"(no 'campaign_format' field)")
+    try:
+        return manifest_values(manifest)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}")
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    from repro.eval.results_io import compare_results, load_results
-
-    rows = compare_results(load_results(args.old), load_results(args.new),
-                           metric=args.metric)
-    if not rows:
-        print("no comparable results")
+    """Compare two campaign manifests over every (experiment, series,
+    workload) value both carry; exit 3 when any differs by more than
+    ``--threshold``, 1 when they share no value."""
+    old, new = _manifest_values(args.old), _manifest_values(args.new)
+    shared = sorted(set(old) & set(new))
+    if not shared:
+        print("no comparable values")
         return 1
-    print(f"{'workload':14s} {'scheme':16s} {'old':>8s} {'new':>8s} {'delta':>8s}")
-    for row in rows:
-        flag = " *" if abs(row["delta"]) > args.threshold else ""
-        print(f"{row['workload']:14s} {row['scheme']:16s} "
-              f"{row['old']:8.4f} {row['new']:8.4f} {row['delta']:+8.4f}{flag}")
-    return 0
+    print(f"{'experiment/series/workload':52s} {'old':>9s} {'new':>9s} "
+          f"{'delta':>10s}")
+    beyond = 0
+    for key in shared:
+        delta = new[key] - old[key]
+        flag = abs(delta) > args.threshold
+        beyond += flag
+        print(f"{'/'.join(key):52s} {old[key]:9.4f} {new[key]:9.4f} "
+              f"{delta:+10.3g}{' *' if flag else ''}")
+    print(f"\n{len(shared)} value(s) compared, {beyond} differ by more "
+          f"than {args.threshold:g}")
+    return 3 if beyond else 0
 
 
 def cmd_hardware(_args: argparse.Namespace) -> int:
@@ -675,11 +522,32 @@ def cmd_hardware(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _progress(record, stats) -> None:
+    """Live per-cell progress line for a campaign."""
+    state = ("cached" if record.cached
+             else "FAILED" if not record.ok else "ok")
+    label = record.job.series or record.job.scheme
+    eta = (f", eta {stats['eta_seconds']:.0f}s"
+           if stats["done"] < stats["total"] else "")
+    print(f"[{stats['done']:3d}/{stats['total']}] "
+          f"{record.job.experiment:28s} "
+          f"{record.job.workload}/{label} {state} "
+          f"{record.runtime:.2f}s "
+          f"(cached {stats['cached']}, failed {stats['failed']}{eta})",
+          flush=True)
+
+
+def _write_manifest(manifest: dict, path) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+
+
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run experiments through the campaign engine (worker pool +
     content-addressed result store), print live progress and the
     aggregated tables, and optionally write the manifest JSON."""
-    import json
     import tempfile
 
     from repro.eval.campaign import run_campaign, run_smoke
@@ -692,23 +560,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"{name:{width}s}  {spec.title}  [{spec.provenance}]")
         return 0
 
-    def progress(record, stats) -> None:
-        state = ("cached" if record.cached
-                 else "FAILED" if not record.ok else "ok")
-        label = record.job.series or record.job.scheme
-        eta = (f", eta {stats['eta_seconds']:.0f}s"
-               if stats["done"] < stats["total"] else "")
-        print(f"[{stats['done']:3d}/{stats['total']}] "
-              f"{record.job.experiment:28s} "
-              f"{record.job.workload}/{label} {state} "
-              f"{record.runtime:.2f}s "
-              f"(cached {stats['cached']}, failed {stats['failed']}{eta})",
-              flush=True)
-
     if args.smoke:
         store = args.store or tempfile.mkdtemp(prefix="repro-smoke-")
         first, second = run_smoke(store, jobs=args.jobs or 2,
-                                  progress=progress)
+                                  progress=_progress)
         t1, t2 = first.totals, second.totals
         print(f"smoke pass 1: {t1['executed']} executed, "
               f"{t1['cached']} cached, {t1['failed']} failed")
@@ -727,39 +582,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise SystemExit("name experiments to run (or 'all'); "
                          "see: repro campaign --list")
     store = args.store if args.store is not None else ".repro-store"
-    events = telemetry = None
-    if args.telemetry:
-        from pathlib import Path
-
-        from repro.obs.events import EventLog
-        from repro.obs.store import TelemetryStore
-
-        tel_dir = Path(args.telemetry)
-        tel_dir.mkdir(parents=True, exist_ok=True)
-        events = EventLog(tel_dir / "events.jsonl")
-        telemetry = TelemetryStore(tel_dir / "telemetry.db")
-    try:
-        report = run_campaign(
-            args.experiments,
-            workloads=args.workloads or None,
-            scale=args.scale,
-            jobs=args.jobs,
-            store_dir=store,
-            force=args.force,
-            timeout=args.timeout,
-            retries=args.retries,
-            serial=args.serial,
-            progress=progress,
-            collect_metrics=args.cell_metrics,
-            collect_decisions=args.cell_decisions,
-            events=events,
-            telemetry=telemetry,
-        )
-    finally:
-        if events is not None:
-            events.close()
-        if telemetry is not None:
-            telemetry.close()
+    report = run_campaign(
+        args.experiments,
+        workloads=args.workloads or None,
+        scale=args.scale,
+        jobs=args.jobs,
+        store_dir=store,
+        force=args.force,
+        timeout=args.timeout,
+        retries=args.retries,
+        serial=args.serial,
+        progress=_progress,
+        collect_metrics=args.cell_metrics,
+        collect_decisions=args.cell_decisions,
+    )
     print()
     for name in report.experiments:
         print(format_table(report.results[name],
@@ -767,38 +603,32 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print()
     print(format_campaign_manifest(report.manifest))
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            json.dump(report.manifest, handle, indent=2, sort_keys=True)
+        _write_manifest(report.manifest, args.manifest)
         print(f"\nwrote manifest to {args.manifest} "
               f"(view with: repro inspect {args.manifest})")
-    if args.telemetry:
-        print(f"\ntelemetry: {args.telemetry}/events.jsonl + "
-              f"{args.telemetry}/telemetry.db "
-              f"(view with: repro dash {args.telemetry})")
     return 2 if report.failed_cells else 0
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     """Artifact-evaluation mode: regenerate every figure into a
-    directory (text tables + a JSON snapshot of the raw runs)."""
+    directory as text tables, from one serial campaign whose manifest
+    (every figure's per-workload values) lands next to them."""
     from pathlib import Path
 
-    from repro.common.types import Scheme
-    from repro.eval.results_io import save_results
+    from repro.eval.campaign import run_campaign
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = Runner(scale=args.scale)
-
-    for number, (as_overheads, title) in sorted(
-        FIGURES.items(), key=lambda kv: int(kv[0])
-    ):
-        if number == "16" and args.scale < 0.9:
-            print(f"figure {number}: skipped (needs --scale >= 1.0 for "
-                  f"realistic L2 thrash; rerun with --scale 1.0)")
-            continue
-        print(f"figure {number}: running ...")
-        result = exp.run_experiment(f"fig{number}", runner)
+    numbers = sorted(FIGURES, key=int)
+    if args.scale < 0.9:
+        numbers.remove("16")
+        print("figure 16: skipped (needs --scale >= 1.0 for realistic L2 "
+              "thrash; rerun with --scale 1.0)")
+    report = run_campaign([f"fig{number}" for number in numbers],
+                          scale=args.scale, serial=True, progress=_progress)
+    for number in numbers:
+        as_overheads, title = FIGURES[number]
+        result = report.results[f"fig{number}"]
         text = (format_overheads(result, title=title) if as_overheads
                 else format_table(result, percent=True, title=title))
         (outdir / f"fig{number}.txt").write_text(text + "\n")
@@ -808,13 +638,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     (outdir / "table9.txt").write_text(
         "\n".join(f"{k}: {v}" for k, v in hw.items()) + "\n"
     )
-    snapshot_schemes = [Scheme.NAIVE, Scheme.COMMON_CTR, Scheme.PSSM,
-                        Scheme.PSSM_CTR, Scheme.SHM_READONLY, Scheme.SHM,
-                        Scheme.SHM_CCTR, Scheme.SHM_UPPER_BOUND]
-    save_results(runner, outdir / "results.json", BENCHMARK_NAMES,
-                 snapshot_schemes, metadata={"scale": args.scale})
-    print(f"wrote {outdir / 'results.json'}")
-    return 0
+    _write_manifest(report.manifest, outdir / "manifest.json")
+    print(f"wrote {outdir / 'manifest.json'} "
+          f"({report.totals['failed']} failed cell(s))")
+    return 2 if report.failed_cells else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -855,18 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("--cells", action="store_true",
                        help="campaign manifests: list every cell, not just "
                             "averages and failures")
-    p_ins.add_argument("--events", action="store_true",
-                       help="PATH is a campaign event log: pretty-print "
-                            "it (filter with --worker/--cell/--type)")
-    p_ins.add_argument("--worker", default=None,
-                       help="--events: only this worker ID")
-    p_ins.add_argument("--cell", default=None,
-                       help="--events: only cells whose key contains this")
     p_ins.add_argument("--type", default=None,
-                       help="--events: only this event type")
-    p_ins.add_argument("--store", default=None, metavar="DB",
-                       help="campaign manifests: also show this telemetry "
-                            "store's recorded history")
+                       help="--decisions: only this decision type")
     p_ins.add_argument("--host-profile", action="store_true",
                        help="run each scheme under a SIGPROF stack sampler "
                             "and report %% host time per simulator layer "
@@ -925,23 +742,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "exit 3 on a median regression beyond "
                               "--threshold")
     p_bench.add_argument("--against", default=None, metavar="NEW.json",
-                         help="gate/record this already-emitted file "
-                              "instead of running (with --compare, "
-                              "--against-store and/or --record-store)")
-    p_bench.add_argument("--against-store", default=None, metavar="DB",
-                         help="also gate against the telemetry store's "
-                              "rolling bench median (exit 3 on regression)")
-    p_bench.add_argument("--store-window", type=int, default=5,
-                         help="--against-store: rolling-median window in "
-                              "recorded runs (default 5)")
-    p_bench.add_argument("--record-store", default=None, metavar="DB",
-                         help="record the run in this telemetry store")
+                         help="gate this already-emitted file instead of "
+                              "running (with --compare)")
     p_bench.add_argument("--report", default=None, metavar="OUT.json",
                          help="write the per-cell comparison report "
                               "(machine-readable, for CI artifacts)")
-    p_bench.add_argument("--events", default=None, metavar="LOG.jsonl",
-                         help="append bench_recorded/regression_flagged "
-                              "events to this event log")
     p_bench.add_argument("--threshold", type=float, default=0.15,
                          help="regression gate on the median growth "
                               "(fraction, default 0.15)")
@@ -995,33 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "the manifest's metrics block")
     p_camp.add_argument("--cell-decisions", action="store_true",
                         help="attach a decision ledger to every executed "
-                             "cell; summaries land in the manifest, the "
-                             "telemetry store, and cell_decisions events")
-    p_camp.add_argument("--telemetry", default=None, metavar="DIR",
-                        help="write campaign telemetry here: an event log "
-                             "(DIR/events.jsonl) plus a persistent store "
-                             "(DIR/telemetry.db); view with repro dash")
+                             "cell; summaries land in the manifest")
     p_camp.set_defaults(func=cmd_campaign)
-
-    p_dash = sub.add_parser(
-        "dash",
-        help="render campaign telemetry (live TUI, or --html report)",
-    )
-    p_dash.add_argument("path",
-                        help="event log path, or the campaign --telemetry "
-                             "directory containing events.jsonl")
-    p_dash.add_argument("--html", default=None, metavar="OUT.html",
-                        help="write a static self-contained HTML report "
-                             "instead of the live view")
-    p_dash.add_argument("--once", action="store_true",
-                        help="print a single text frame and exit")
-    p_dash.add_argument("--interval", type=float, default=1.0,
-                        help="live view repaint interval in seconds")
-    p_dash.add_argument("--store", default=None, metavar="DB",
-                        help="telemetry store for the HTML report's trend "
-                             "sections (default: telemetry.db next to the "
-                             "event log, when present)")
-    p_dash.set_defaults(func=cmd_dash)
 
     p_fig = sub.add_parser("figure", help="regenerate one paper figure")
     p_fig.add_argument("number", help="figure number (5, 10-16)")
@@ -1061,15 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hw = sub.add_parser("hardware", help="print Table IX hardware costs")
     p_hw.set_defaults(func=cmd_hardware)
 
-    p_rep = sub.add_parser("report", help="run the matrix, snapshot to JSON")
-    p_rep.add_argument("--output", default="results.json")
-    p_rep.add_argument("--workloads", nargs="*", default=None,
-                       choices=BENCHMARK_NAMES)
-    p_rep.add_argument("--scheme", nargs="+",
-                       default=["naive", "pssm", "shm"])
-    p_rep.add_argument("--scale", type=float, default=0.25)
-    p_rep.set_defaults(func=cmd_report)
-
     p_repro = sub.add_parser(
         "reproduce", help="regenerate every figure into a directory"
     )
@@ -1077,12 +848,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--scale", type=float, default=0.5)
     p_repro.set_defaults(func=cmd_reproduce)
 
-    p_diff = sub.add_parser("diff", help="compare two result snapshots")
-    p_diff.add_argument("old")
+    p_diff = sub.add_parser(
+        "diff", help="compare the values of two campaign manifests")
+    p_diff.add_argument("old", help="manifest JSON (campaign --manifest, "
+                                    "or reproduce's manifest.json)")
     p_diff.add_argument("new")
-    p_diff.add_argument("--metric", default="normalized_ipc")
     p_diff.add_argument("--threshold", type=float, default=0.01,
-                        help="flag deltas larger than this")
+                        help="exit 3 when any |delta| exceeds this")
     p_diff.set_defaults(func=cmd_diff)
     return parser
 

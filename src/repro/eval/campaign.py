@@ -39,10 +39,14 @@ need is simulated once and aggregated three times.  The address —
 and deliberately *excludes* presentation fields (experiment name,
 series label).
 
-Campaign runs emit a **manifest** (JSON, ``campaign_format: 1``) that
-``repro inspect`` renders, and feed per-cell runtimes into the PR-1
-:class:`repro.obs.metrics.MetricsRegistry` so live progress can show
-an ETA.
+Campaign runs emit a **manifest** (JSON, ``campaign_format: 1``), the
+one record a campaign explains itself from: per experiment, the
+aggregated ``series`` its table prints and its averages; per cell, its
+status, runtime, attempts, the reason for each retried attempt, any
+error and its decision-ledger summary.  ``repro inspect`` renders a
+manifest and ``repro diff`` compares two (:func:`manifest_values`).
+Per-cell runtimes also feed a :class:`repro.obs.metrics.MetricsRegistry`
+so live progress can show an ETA.
 """
 
 from __future__ import annotations
@@ -58,9 +62,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.core.policies.registry import resolve_scheme
-from repro.obs.events import EventLog, merge_spool
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.store import TelemetryStore
 from repro.sim.parallel import execute_jobs
 from repro.sim.runner import Runner, calibration_key
 from repro.sim.stats import RunResult, mean
@@ -171,6 +173,10 @@ class CellRecord:
     error: Optional[str] = None
     runtime: float = 0.0
     attempts: int = 1
+    #: Why each retried attempt failed, in order (``"worker_died"``,
+    #: ``"timeout"`` or ``"exception"``); empty when the first attempt
+    #: was the last.
+    retries: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -470,6 +476,7 @@ class _Cell:
     error: Optional[str] = None
     runtime: float = 0.0
     attempts: int = 1
+    retries: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -496,9 +503,10 @@ class CampaignReport:
 
 def campaign_id(names: Sequence[str], workloads: Optional[List[str]],
                 scale: float, version: str) -> str:
-    """The deterministic correlation ID of one campaign *identity*
-    (what is being swept, not when/how): re-running the same sweep
-    yields the same ID, so its telemetry rows line up across runs."""
+    """The deterministic ID of one campaign *identity* (what is being
+    swept, not when/how): re-running the same sweep yields the same
+    ID, so the manifests of two runs say whether they swept the same
+    matrix."""
     return stable_hash({
         "experiments": list(names),
         "workloads": workloads,
@@ -523,8 +531,6 @@ def run_campaign(
     progress: Optional[Callable[[CellRecord, dict], None]] = None,
     collect_metrics: bool = False,
     collect_decisions: bool = False,
-    events: Optional[EventLog] = None,
-    telemetry: Optional[TelemetryStore] = None,
 ) -> CampaignReport:
     """Expand the named experiments into one deduplicated cell matrix,
     execute it, and aggregate per experiment.
@@ -545,7 +551,8 @@ def run_campaign(
     in the metrics ``registry``.
 
     Failed cells never raise: they are recorded (traceback and all) in
-    the report/manifest and excluded from aggregates.
+    the report/manifest and excluded from aggregates.  A pool cell's
+    record lists the reason for each attempt the pool retried.
 
     ``collect_metrics=True`` runs every *executed* cell under an
     observer and folds each worker's simulation metrics back into
@@ -553,20 +560,10 @@ def run_campaign(
 
     ``collect_decisions=True`` attaches a fresh
     :class:`repro.obs.decisions.DecisionLedger` to every executed
-    ``kind="run"`` cell; the ledger summary rides home in the payload,
-    lands in the manifest (and the telemetry store), and is emitted as
-    one ``cell_decisions`` event per executed cell when ``events`` is
-    attached.  Decision taps fire at decision granularity and leave the
-    MEE on the code path an unledgered cell takes.
-
-    ``events`` (an :class:`repro.obs.events.EventLog`) records the
-    campaign's structured telemetry — cell lifecycle, retries,
-    timeouts, worker deaths — with pool workers spooling their
-    ``cell_started`` events into ``events.spool_dir`` and the parent
-    merging them crash-safely after the pool drains.  ``telemetry``
-    (an :class:`repro.obs.store.TelemetryStore`) persists the finished
-    campaign — one row per cell reference — into the cross-run sqlite
-    store.  Both default to ``None`` and cost nothing when absent.
+    ``kind="run"`` cell; the ledger summary rides home in the payload
+    and lands in the manifest.  Decision taps fire at decision
+    granularity and leave the MEE on the code path an unledgered cell
+    takes.
     """
     if specs is None:
         from repro.eval.experiments import EXPERIMENTS
@@ -602,33 +599,6 @@ def run_campaign(
         for job in job_list:
             unique.setdefault(cell_key(job, version), job)
 
-    cid = campaign_id(names, workloads, scale, version)
-    if events is not None:
-        if events.campaign is None:
-            events.campaign = cid
-        events.emit("campaign_started", experiments=names,
-                    cells=len(unique), scale=scale,
-                    code_version=version, workers=n_workers)
-
-    def emit_terminal(key: str, cell: _Cell,
-                      reason: Optional[str] = None) -> None:
-        if events is None:
-            return
-        job = unique[key]
-        if cell.status == "ok":
-            events.emit("cell_completed", cell=key, workload=job.workload,
-                        scheme=job.scheme, attempts=cell.attempts,
-                        runtime=round(cell.runtime, 4))
-            summary = cell.payload.get("decisions")
-            if summary is not None:
-                events.emit("cell_decisions", cell=key,
-                            workload=job.workload, scheme=job.scheme,
-                            summary=summary)
-        else:
-            events.emit("cell_failed", cell=key, workload=job.workload,
-                        scheme=job.scheme, reason=reason or "exception",
-                        attempts=cell.attempts)
-
     cells: Dict[str, _Cell] = {}
     runtime_hist = registry.histogram("campaign.cell_runtime_s")
 
@@ -654,7 +624,7 @@ def run_campaign(
             progress(CellRecord(
                 job=job, key=key, status=cell.status, cached=cell.cached,
                 error=cell.error, runtime=cell.runtime,
-                attempts=cell.attempts,
+                attempts=cell.attempts, retries=cell.retries,
             ), stats_snapshot())
 
     # -- serve from the store -----------------------------------------
@@ -673,9 +643,6 @@ def run_campaign(
                 cell = _Cell(cached=True, payload=payload,
                              runtime=stored.get("runtime_s", 0.0))
                 cells[key] = cell
-                if events is not None:
-                    events.emit("cell_cached", cell=key,
-                                workload=job.workload, scheme=job.scheme)
                 announce(key, job, cell)
         if stored is None:
             to_run.append(key)
@@ -712,8 +679,6 @@ def run_campaign(
             Runner(config=config, scale=scale, observer=serial_observer)
         )
         for key in to_run:
-            if events is not None:
-                events.emit("cell_started", cell=key)
             job = unique[key]
             if collect_decisions and job.kind == "run":
                 job = dc_replace(job, collect_decisions=True)
@@ -723,13 +688,10 @@ def run_campaign(
             except Exception:
                 cell = _Cell(status="failed", error=traceback.format_exc(),
                              runtime=time.monotonic() - start)
-                emit_terminal(key, cell)
-                record_executed(key, cell)
             else:
                 cell = _Cell(payload=payload,
                              runtime=time.monotonic() - start)
-                emit_terminal(key, cell)
-                record_executed(key, cell)
+            record_executed(key, cell)
     elif to_run:
         worker_jobs = [unique[k] for k in to_run]
         if collect_metrics:
@@ -744,6 +706,8 @@ def run_campaign(
         # only passes the bytes on, so the wave-2 workers it forks
         # inherit no unpickled calibrations.
         calibrations: Dict[tuple, bytes] = {}
+        #: to_run index -> the reason for each of its retried attempts.
+        retried: Dict[int, List[str]] = {}
 
         def run_wave(indices: List[int]) -> None:
             """Execute ``worker_jobs[i]`` for each ``i`` in ``indices``
@@ -752,6 +716,7 @@ def run_campaign(
             def on_outcome(outcome) -> None:
                 index = indices[outcome.index]
                 key = to_run[index]
+                reasons = retried.pop(index, [])
                 if outcome.ok:
                     value = outcome.value
                     calibration = value.pop("calibration", None)
@@ -763,52 +728,31 @@ def run_campaign(
                     cell = _Cell(
                         payload=_deserialize_payload(value),
                         runtime=outcome.runtime, attempts=outcome.attempts,
+                        retries=reasons,
                     )
                 else:
                     cell = _Cell(
                         status="failed",
                         error=f"[{outcome.reason}] {outcome.error}",
                         runtime=outcome.runtime, attempts=outcome.attempts,
+                        retries=reasons,
                     )
-                    if events is not None:
-                        if outcome.reason == "worker_died":
-                            events.emit("worker_died", cell=key,
-                                        attempt=outcome.attempts)
-                        elif outcome.reason == "timeout":
-                            events.emit("cell_timeout", cell=key,
-                                        attempt=outcome.attempts)
-                emit_terminal(key, cell, reason=outcome.reason)
                 record_executed(key, cell)
 
-            def on_retry(index: int, attempt: int, reason: str) -> None:
-                key = to_run[indices[index]]
-                if events is None:
-                    return
-                if reason == "worker_died":
-                    events.emit("worker_died", cell=key, attempt=attempt)
-                elif reason == "timeout":
-                    events.emit("cell_timeout", cell=key, attempt=attempt)
-                events.emit("cell_retry", cell=key, attempt=attempt,
-                            reason=reason)
+            def on_retry(index: int, _attempt: int, reason: str) -> None:
+                retried.setdefault(indices[index], []).append(reason)
 
             execute_jobs(_cell_worker,
                          [dc_replace(worker_jobs[i],
                                      calibration=calibrations.get(groups[i]))
                           for i in indices],
                          jobs=n_workers, timeout=timeout, retries=retries,
-                         on_outcome=on_outcome,
-                         on_retry=on_retry if events is not None else None,
-                         event_spool=(str(events.spool_dir)
-                                      if events is not None else None),
-                         tags=([to_run[i] for i in indices]
-                               if events is not None else None))
+                         on_outcome=on_outcome, on_retry=on_retry)
 
         # A leader that fails leaves its group without a calibration:
         # its followers then calibrate themselves.
         for wave in _calibration_waves(worker_jobs, n_workers):
             run_wave(wave)
-        if events is not None:
-            merge_spool(events)
 
     # -- aggregate per experiment -------------------------------------
     results: Dict[str, ExperimentResult] = {}
@@ -825,29 +769,18 @@ def run_campaign(
                 profile=cell.payload.get("profile"),
                 decisions=cell.payload.get("decisions"),
                 error=cell.error, runtime=cell.runtime,
-                attempts=cell.attempts,
+                attempts=cell.attempts, retries=cell.retries,
             ))
         records[name] = recs
         results[name] = specs[name].aggregate([r for r in recs if r.ok])
-
-    final = stats_snapshot()
-    if events is not None:
-        events.emit("campaign_finished", totals={
-            "cells": final["total"],
-            "ok": final["done"] - final["failed"],
-            "failed": final["failed"],
-            "cached": final["cached"],
-            "executed": final["done"] - final["cached"],
-        }, elapsed_seconds=round(final["elapsed_seconds"], 3))
 
     manifest = _build_manifest(
         names=names, specs=specs, results=results, records=records,
         workloads=workloads, scale=scale, n_workers=n_workers,
         force=force, version=version, store=store, registry=registry,
-        stats=final, campaign=cid,
+        stats=stats_snapshot(),
+        campaign=campaign_id(names, workloads, scale, version),
     )
-    if telemetry is not None:
-        telemetry.record_campaign(manifest, cid)
     return CampaignReport(experiments=names, results=results,
                           records=records, manifest=manifest)
 
@@ -863,6 +796,7 @@ def _build_manifest(*, names, specs, results, records, workloads, scale,
             "title": specs[name].title,
             "provenance": specs[name].provenance,
             "averages": results[name].averages(),
+            "series": results[name].series,
             "failed": sum(1 for r in recs if not r.ok),
             "cells": [{
                 "key": r.key,
@@ -874,6 +808,7 @@ def _build_manifest(*, names, specs, results, records, workloads, scale,
                 "cached": r.cached,
                 "runtime_s": round(r.runtime, 4),
                 "attempts": r.attempts,
+                **({"retries": r.retries} if r.retries else {}),
                 **({"error": r.error[:2000]} if r.error else {}),
                 **({"decisions": r.decisions} if r.decisions else {}),
             } for r in recs],
@@ -900,6 +835,21 @@ def _build_manifest(*, names, specs, results, records, workloads, scale,
         "elapsed_seconds": round(stats["elapsed_seconds"], 3),
         "metrics": registry.snapshot(),
     }
+
+
+def manifest_values(manifest: dict) -> Dict[Tuple[str, str, str], float]:
+    """Every value a manifest's experiments carry, keyed by
+    (experiment, series label, workload): what ``repro diff``
+    compares.  Raises ``ValueError`` naming the ``series`` field when
+    an experiment entry has none."""
+    values = {}
+    for name, entry in manifest["experiments"].items():
+        if "series" not in entry:
+            raise ValueError(f"experiment {name!r} has no 'series' field")
+        for label, per_workload in entry["series"].items():
+            for workload, value in per_workload.items():
+                values[name, label, workload] = value
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ in the :data:`EXPERIMENTS` registry, its only definition: a
 :class:`~repro.eval.campaign.ExperimentResult`.  A spec runs two ways,
 with identical numbers:
 
-* serially, :func:`run_experiment` (``repro figure``, ``repro
-  reproduce``, the benches): the matrix on one shared
-  :class:`repro.sim.runner.Runner`;
+* serially, :func:`run_experiment` (``repro figure``, the benches):
+  the matrix on one shared :class:`repro.sim.runner.Runner`;
 * through :func:`repro.eval.campaign.run_campaign` (``repro
-  campaign``): deduplicated across experiments, on a worker pool,
+  campaign``, and ``repro reproduce`` as one serial campaign):
+  deduplicated across experiments, on a worker pool or in-process,
   resumable from the result store.
 
 Units throughout: normalised IPC is relative to the calibrated
@@ -225,15 +225,15 @@ DEFAULT_BANDWIDTH_SCHEMES = [Scheme.NAIVE, Scheme.SHM]
 
 def _bandwidth_jobs(workloads: Optional[List[str]], config: SimConfig,
                     scale: float) -> List[JobSpec]:
-    """One base workload (the first of ``workloads``, else kmeans)
+    """Each base workload (every name in ``workloads``, else kmeans)
     re-built at each utilisation as the variant ``<base>@<util%>``."""
-    base = workloads[0] if workloads else "kmeans"
     return [
         JobSpec(experiment="ablation_bandwidth_sensitivity",
                 workload=f"{base}@{int(100 * util)}", workload_base=base,
                 workload_overrides={"bandwidth_utilization": util},
                 scheme=scheme.value, series=scheme.value, scale=scale,
                 config=config)
+        for base in workloads or ["kmeans"]
         for util in DEFAULT_UTILIZATIONS
         for scheme in DEFAULT_BANDWIDTH_SCHEMES
     ]

@@ -123,7 +123,8 @@ def format_campaign_manifest(manifest: dict, verbose: bool = False) -> str:
     """Render a campaign manifest as the summary ``repro inspect``
     prints: totals, then one block per experiment with its series
     averages and any failed cells (always shown — failures should
-    never be silent); ``verbose`` adds the full per-cell table."""
+    never be silent); ``verbose`` adds the full per-cell table, with
+    the reason for each retried attempt."""
     totals = manifest["totals"]
     lines = [
         f"campaign: {', '.join(manifest['experiments'])}  "
@@ -153,9 +154,12 @@ def format_campaign_manifest(manifest: dict, verbose: bool = False) -> str:
         if verbose:
             for cell in exp["cells"]:
                 state = "cached" if cell["cached"] else cell["status"]
+                retries = cell.get("retries")
                 lines.append(f"    {cell['workload']:14s} "
                              f"{cell['scheme']:16s} {state:7s} "
-                             f"{cell['runtime_s']:8.2f}s x{cell['attempts']}")
+                             f"{cell['runtime_s']:8.2f}s x{cell['attempts']}"
+                             + (f"  retried: {', '.join(retries)}"
+                                if retries else ""))
     return "\n".join(lines)
 
 

@@ -1,13 +1,8 @@
-"""Result persistence: snapshots, lossless cell records and the
-content-addressed result store.
+"""Result persistence: lossless cell records and the content-addressed
+result store.
 
-Three layers, from oldest to newest:
+Two layers:
 
-* **Snapshots** (`save_results` / `load_results` / `compare_results`):
-  one JSON file summarising a whole (workload x scheme) matrix, used
-  for regression tracking — a change in the model shows up as numbers,
-  not vibes.  Snapshot rows are *summaries* (normalised IPC, traffic
-  shares); they do not round-trip back into :class:`RunResult`.
 * **Lossless cell records** (`serialize_run_result` /
   `deserialize_run_result`): a full, reversible JSON encoding of one
   :class:`repro.sim.stats.RunResult`, including the latency histogram
@@ -20,6 +15,9 @@ Three layers, from oldest to newest:
   Re-running a campaign resumes instantly from cached cells; a
   corrupted or truncated entry is *quarantined* (moved aside), never
   fatal.
+
+A campaign's per-experiment values live in its manifest
+(:mod:`repro.eval.campaign`), which ``repro diff`` compares.
 
 Units: cycles are simulator core cycles, traffic fields are bytes,
 latencies are cycles, ``scale`` is the suite footprint scale factor.
@@ -39,126 +37,12 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.common.types import PredictionStats, Scheme, TrafficCounters
 from repro.obs.metrics import LogHistogram
-from repro.sim.runner import Runner
 from repro.sim.stats import L2Stats, LatencyStats, RunResult
-
-FORMAT_VERSION = 1
 
 #: Version tag of the lossless cell encoding; bump on breaking change
 #: (it participates in the cell hash, so old store entries simply
 #: become cache misses instead of deserialization errors).
 CELL_FORMAT_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# Snapshot summaries (regression tracking)
-# ---------------------------------------------------------------------------
-
-def result_to_dict(result: RunResult, baseline: Optional[RunResult] = None) -> dict:
-    """Flatten one run into a snapshot row (summary, not reversible).
-
-    Traffic fields are bytes; latencies are cycles; accuracies are
-    fractions in [0, 1].
-    """
-    data = {
-        "workload": result.workload,
-        "scheme": result.scheme.value,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "ipc": result.ipc,
-        "dram_utilization": result.dram_utilization,
-        "bandwidth_overhead": result.bandwidth_overhead,
-        "traffic": {
-            "data": result.traffic.data_bytes,
-            "ctr": result.traffic.counter_bytes,
-            "mac": result.traffic.mac_bytes,
-            "bmt": result.traffic.bmt_bytes,
-            "mispred": result.traffic.misprediction_bytes,
-        },
-        "l2": {
-            "accesses": result.l2.accesses,
-            "misses": result.l2.misses,
-            "writebacks": result.l2.writebacks,
-        },
-        "read_latency": {
-            "avg": result.latency.average,
-            "p50": result.latency.p50,
-            "p95": result.latency.p95,
-            "p99": result.latency.p99,
-            "max": result.latency.max_cycles,
-        },
-        "readonly_accuracy": result.readonly_stats.accuracy,
-        "streaming_accuracy": result.streaming_stats.accuracy,
-        "shared_counter_reads": result.shared_counter_reads,
-        "victim_hits": result.victim_hits,
-    }
-    if baseline is not None:
-        data["normalized_ipc"] = result.normalized_ipc(baseline)
-    return data
-
-
-def save_results(
-    runner: Runner,
-    path: Union[str, Path],
-    workloads: List[str],
-    schemes: List[Union[Scheme, str]],
-    metadata: Optional[dict] = None,
-) -> dict:
-    """Run (if necessary) and snapshot the given matrix to JSON.
-
-    ``schemes`` accepts Table VIII :class:`Scheme` members and names of
-    custom compositions from the scheme registry; snapshot rows for the
-    latter carry the registry name so they stay distinguishable from
-    their base design.
-    """
-    snapshot = {
-        "format_version": FORMAT_VERSION,
-        "scale": runner.scale,
-        "metadata": metadata or {},
-        "results": [],
-    }
-    for name in workloads:
-        baseline = runner.baseline(name)
-        snapshot["results"].append(result_to_dict(baseline))
-        for scheme in schemes:
-            if scheme is Scheme.UNPROTECTED:
-                continue
-            result = runner.run(name, scheme)
-            row = result_to_dict(result, baseline)
-            if isinstance(scheme, str):
-                row["scheme"] = scheme
-            snapshot["results"].append(row)
-    Path(path).write_text(json.dumps(snapshot, indent=1))
-    return snapshot
-
-
-def load_results(path: Union[str, Path]) -> dict:
-    data = json.loads(Path(path).read_text())
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValueError("unsupported results format version")
-    return data
-
-
-def compare_results(old: dict, new: dict, metric: str = "normalized_ipc") -> List[dict]:
-    """Per-(workload, scheme) deltas of one metric between snapshots."""
-    def index(snapshot):
-        return {
-            (r["workload"], r["scheme"]): r
-            for r in snapshot["results"]
-            if metric in r
-        }
-
-    old_idx, new_idx = index(old), index(new)
-    rows = []
-    for key in sorted(set(old_idx) & set(new_idx)):
-        rows.append({
-            "workload": key[0],
-            "scheme": key[1],
-            "old": old_idx[key][metric],
-            "new": new_idx[key][metric],
-            "delta": new_idx[key][metric] - old_idx[key][metric],
-        })
-    return rows
 
 
 # ---------------------------------------------------------------------------

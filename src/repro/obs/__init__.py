@@ -1,26 +1,20 @@
 """Observability: metrics registry, cycle-window time series,
-Chrome-trace export for the MEE/DRAM contention path, the security
-decision-provenance ledger (:mod:`repro.obs.decisions`), and the fleet
-telemetry layer — campaign event logs (:mod:`repro.obs.events`), the
-persistent cross-run store (:mod:`repro.obs.store`) and the dashboard
-(:mod:`repro.obs.dash`).
+Chrome-trace export for the MEE/DRAM contention path, and the security
+decision-provenance ledger (:mod:`repro.obs.decisions`).
 
 The package is zero-overhead when disabled: instrumented code holds an
 :class:`~repro.obs.observer.Observer` (default
 :data:`~repro.obs.observer.NULL_OBSERVER`) and guards each hook behind
-one boolean check; campaign telemetry likewise only exists when an
-:class:`~repro.obs.events.EventLog` / store is passed in.  See
-``docs/observability.md``.
+one boolean check.  A campaign explains itself from its manifest
+(:mod:`repro.eval.campaign`).  See ``docs/observability.md``.
 """
 
-from repro.obs.dash import DashboardState
 from repro.obs.decisions import (
     DECISION_TYPES,
     DecisionLedger,
     NULL_LEDGER,
     NullDecisionLedger,
 )
-from repro.obs.events import EventLog, canonical_events, read_events
 from repro.obs.metrics import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.observer import (
     DEFAULT_WINDOW_CYCLES,
@@ -28,7 +22,6 @@ from repro.obs.observer import (
     NullObserver,
     Observer,
 )
-from repro.obs.store import TelemetryStore
 from repro.obs.timeseries import WindowedSeries
 from repro.obs.tracing import ChromeTracer
 
@@ -37,9 +30,7 @@ __all__ = [
     "Counter",
     "DECISION_TYPES",
     "DEFAULT_WINDOW_CYCLES",
-    "DashboardState",
     "DecisionLedger",
-    "EventLog",
     "Gauge",
     "LogHistogram",
     "MetricsRegistry",
@@ -48,8 +39,5 @@ __all__ = [
     "NullDecisionLedger",
     "NullObserver",
     "Observer",
-    "TelemetryStore",
     "WindowedSeries",
-    "canonical_events",
-    "read_events",
 ]

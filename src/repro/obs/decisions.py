@@ -431,7 +431,7 @@ class DecisionLedger:
     def summary(self, run: Optional[str] = None) -> dict:
         """Aggregate per-detector/per-type view (JSON-safe): decision
         counts, verdict flips/timeouts, and the charged cost — the
-        payload campaign cells ship and the dashboard folds.  ``run``
+        payload campaign cells ship into the manifest.  ``run``
         restricts the aggregate to one run label when the ledger holds
         several back-to-back runs."""
         rows = (self.rows if run is None

@@ -3,15 +3,12 @@
 Checks that a ``--trace`` file is well-formed Chrome trace-event JSON
 with MEE operation events on every secure partition, that a
 ``--metrics-out`` JSONL file's window rows sum back to each run
-summary's aggregate traffic counters exactly, and that an ``--events``
-campaign event log honours the taxonomy (known types, required
-payload fields, monotonic sequence numbers, a terminal event for
-every started cell).
+summary's aggregate traffic counters exactly, and that decision-ledger
+exports and workload traces honour their formats.
 
 Usage::
 
     python -m repro.obs.validate --trace t.json --metrics m.jsonl
-    python -m repro.obs.validate --events tel/events.jsonl
     python -m repro.obs.validate --decisions decisions.jsonl
 """
 
@@ -99,70 +96,6 @@ def validate_metrics(path: Union[str, Path]) -> dict:
                 )
     return {"rows": len(rows),
             "runs": {run: len(w) for run, w in windows.items()}}
-
-
-def validate_events(path: Union[str, Path]) -> dict:
-    """Check a campaign event log against the taxonomy.
-
-    Enforces, per row: parseable JSON (strict — a *finished* log has no
-    torn lines), a known event type, every required payload field, the
-    ``cell`` correlation ID on cell-scoped events, and a monotonically
-    increasing ``seq``.  Per log: every started (non-cached) cell must
-    reach a terminal event — ``cell_completed`` or ``cell_failed`` —
-    so a crashed campaign cannot masquerade as a clean one.
-
-    Returns ``{"rows": N, "types": {type: count}, "cells": N}``.
-    """
-    from repro.obs.events import CELL_SCOPED, EVENT_TYPES
-
-    try:
-        rows = [json.loads(line) for line in
-                Path(path).read_text(encoding="utf-8").splitlines()
-                if line.strip()]
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: bad JSON line: {exc}") from exc
-    if not rows:
-        raise ValidationError(f"{path}: empty event log")
-
-    types: dict = {}
-    last_seq = -1
-    started: set = set()
-    terminal: set = set()
-    for i, row in enumerate(rows):
-        kind = row.get("type")
-        if kind not in EVENT_TYPES:
-            raise ValidationError(f"{path}: row {i}: unknown type {kind!r}")
-        for field in ("seq", "ts", "campaign"):
-            if field not in row:
-                raise ValidationError(
-                    f"{path}: row {i} ({kind}): missing envelope "
-                    f"field {field!r}")
-        missing = [f for f in EVENT_TYPES[kind] if f not in row]
-        if missing:
-            raise ValidationError(
-                f"{path}: row {i} ({kind}): missing required "
-                f"field(s) {', '.join(missing)}")
-        if kind in CELL_SCOPED and not row.get("cell"):
-            raise ValidationError(
-                f"{path}: row {i} ({kind}): cell correlation ID required")
-        seq = row["seq"]
-        if not isinstance(seq, int) or seq <= last_seq:
-            raise ValidationError(
-                f"{path}: row {i}: seq {seq!r} not monotonically "
-                f"increasing (previous {last_seq})")
-        last_seq = seq
-        types[kind] = types.get(kind, 0) + 1
-        if kind == "cell_started":
-            started.add(row["cell"])
-        elif kind in ("cell_completed", "cell_failed", "cell_cached"):
-            terminal.add(row["cell"])
-    dangling = started - terminal
-    if dangling:
-        raise ValidationError(
-            f"{path}: {len(dangling)} started cell(s) never reached a "
-            f"terminal event: {sorted(dangling)[:3]}...")
-    return {"rows": len(rows), "types": types,
-            "cells": len(started | terminal)}
 
 
 def validate_decisions(path: Union[str, Path]) -> dict:
@@ -280,8 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="validate repro observability exports")
     parser.add_argument("--trace", default=None)
     parser.add_argument("--metrics", default=None)
-    parser.add_argument("--events", default=None,
-                        help="campaign event log (JSONL) to validate")
     parser.add_argument("--decisions", default=None, metavar="PATH",
                         help="decision-ledger JSONL export to validate "
                              "(repro inspect --decisions --decisions-out)")
@@ -291,10 +222,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--partitions", type=int, default=None,
                         help="require MEE events on partitions 0..N-1")
     args = parser.parse_args(argv)
-    if not (args.trace or args.metrics or args.events or args.decisions
+    if not (args.trace or args.metrics or args.decisions
             or args.workload_trace):
         parser.error("nothing to validate: pass --trace, --metrics, "
-                     "--events, --decisions and/or --workload-trace")
+                     "--decisions and/or --workload-trace")
     try:
         if args.trace:
             info = validate_trace(args.trace, args.partitions)
@@ -304,12 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             info = validate_metrics(args.metrics)
             print(f"{args.metrics}: ok ({info['rows']} rows, "
                   f"windows per run: {info['runs']})")
-        if args.events:
-            info = validate_events(args.events)
-            counts = ", ".join(f"{k}={v}"
-                               for k, v in sorted(info["types"].items()))
-            print(f"{args.events}: ok ({info['rows']} events over "
-                  f"{info['cells']} cells: {counts})")
         if args.decisions:
             info = validate_decisions(args.decisions)
             counts = ", ".join(f"{k}={v}"

@@ -6,17 +6,9 @@ against one noisy sample).  A benchmark regresses when its median
 grew by more than the threshold (default 15 %); ``repro bench
 --compare`` exits nonzero when any benchmark regresses.
 
-Two baseline sources are supported:
-
-* a committed ``BENCH_*.json`` file (:func:`compare_docs` against a
-  validated document), the original hand-curated flow;
-* the telemetry store (:func:`against_store`): the baseline is the
-  **rolling median** of each benchmark's last few recorded runs
-  (:meth:`repro.obs.store.TelemetryStore.rolling_baseline`), which
-  absorbs one noisy CI run instead of enshrining it.
-
-Either way the verdict is *per benchmark cell*: every
-:class:`CompareRow` carries its own median delta, and
+The baseline is a committed ``BENCH_*.json`` file (:func:`compare_docs`
+against a validated document).  The verdict is *per benchmark cell*:
+every :class:`CompareRow` carries its own median delta, and
 :func:`compare_report` serialises the full per-cell table (not just
 the aggregate verdict) for the CI report artifact.
 """
@@ -24,10 +16,7 @@ the aggregate verdict) for the CI report artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.store import TelemetryStore
+from typing import List, Optional
 
 #: Default regression gate: > 15 % median growth fails.
 DEFAULT_THRESHOLD = 0.15
@@ -110,31 +99,6 @@ def compare_docs(old: dict, new: dict,
 
 def regressions(rows: List[CompareRow]) -> List[CompareRow]:
     return [row for row in rows if row.status == STATUS_REGRESSION]
-
-
-def against_store(new: dict, store_path: Union[str, "TelemetryStore"],
-                  threshold: float = DEFAULT_THRESHOLD,
-                  window: int = 5) -> List[CompareRow]:
-    """Gate ``new`` against the telemetry store's rolling baseline.
-
-    The baseline medians come from the last ``window`` recorded runs
-    of each benchmark (see ``TelemetryStore.rolling_baseline``), so
-    after the committed ``BENCH_baseline.json`` has been recorded once
-    the store reproduces the committed-baseline verdict and then keeps
-    tracking the trajectory as more runs land.  Raises ``ValueError``
-    when the store has no bench history to compare against.
-    """
-    from repro.obs.store import TelemetryStore
-
-    store = (store_path if isinstance(store_path, TelemetryStore)
-             else TelemetryStore(store_path))
-    baseline = store.rolling_baseline(window=window)
-    if not baseline["benchmarks"]:
-        raise ValueError(
-            f"{store.path}: no bench history recorded "
-            f"(seed it with repro bench --record-store)"
-        )
-    return compare_docs(baseline, new, threshold)
 
 
 def compare_report(rows: List[CompareRow], threshold: float,

@@ -59,28 +59,14 @@ class JobOutcome:
 
 
 def _call(worker: Callable[[Any], Any], payload: Any,
-          timeout: Optional[float] = None,
-          event_spool: Optional[str] = None,
-          tag: Optional[str] = None) -> Tuple[str, Any, float]:
+          timeout: Optional[float] = None) -> Tuple[str, Any, float]:
     """Run ``worker(payload)`` under an optional ``SIGALRM`` budget.
 
     Always returns a ``(status, value_or_traceback, seconds)`` tuple —
     worker exceptions are serialised as tracebacks rather than raised,
     so the only way a future can *raise* in the parent is process
     death (``BrokenProcessPool``).
-
-    With ``event_spool`` set, a ``cell_started`` event (correlated by
-    ``tag``) is appended to this process's spool file before the work
-    begins — it survives even if the worker is killed mid-job, which is
-    exactly when the parent needs it (see :mod:`repro.obs.events`).
     """
-    if event_spool is not None and tag is not None:
-        from repro.obs.events import spool_event
-
-        try:
-            spool_event(event_spool, "cell_started", cell=tag)
-        except OSError:
-            pass  # telemetry never takes the job down with it
     start = time.monotonic()
     use_alarm = (timeout is not None and timeout > 0
                  and hasattr(signal, "setitimer")
@@ -114,8 +100,6 @@ def execute_jobs(
     backoff: float = 0.25,
     on_outcome: Optional[Callable[[JobOutcome], None]] = None,
     on_retry: Optional[Callable[[int, int, str], None]] = None,
-    event_spool: Optional[str] = None,
-    tags: Optional[Sequence[str]] = None,
 ) -> List[JobOutcome]:
     """Run ``worker(payload)`` for every payload on a process pool.
 
@@ -128,22 +112,14 @@ def execute_jobs(
     (the campaign CLI hangs its live progress off this); ``on_retry``
     fires ``(index, attempt, reason)`` every time a non-terminal
     attempt is re-queued (``reason`` in ``"exception"``/``"timeout"``/
-    ``"worker_died"``) — the campaign event log hangs its fault
-    telemetry off this.  ``event_spool``/``tags`` make each worker
-    spool a ``cell_started`` event (correlated by the job's tag)
-    before working, so the parent can reconstruct what a killed worker
-    was doing.
+    ``"worker_died"``) — the campaign manifest records each cell's
+    retry reasons from it.
 
     Returns one :class:`JobOutcome` per payload, in payload order.
     Never raises for job failures; see :class:`JobOutcome`.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if tags is not None and len(tags) != len(payloads):
-        raise ValueError("tags must parallel payloads")
-
-    def tag_of(index: int) -> Optional[str]:
-        return tags[index] if tags is not None else None
 
     outcomes: List[Optional[JobOutcome]] = [None] * len(payloads)
 
@@ -177,8 +153,7 @@ def execute_jobs(
             attempts = 0
             while outcomes[i] is None:
                 attempts += 1
-                status, value, elapsed = _call(worker, payload, timeout,
-                                               event_spool, tag_of(i))
+                status, value, elapsed = _call(worker, payload, timeout)
                 one: List[Tuple[int, int]] = []
                 settle(i, attempts, status, value, elapsed, one)
                 if one:
@@ -193,8 +168,7 @@ def execute_jobs(
             time.sleep(backoff * wave)
         pool = ProcessPoolExecutor(max_workers=jobs)
         futures = {
-            pool.submit(_call, worker, payloads[i], timeout,
-                        event_spool, tag_of(i)): (i, att + 1)
+            pool.submit(_call, worker, payloads[i], timeout): (i, att + 1)
             for i, att in pending
         }
         pending = []

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
@@ -9,15 +11,16 @@ from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.eval.campaign import (
     SMOKE_SPEC,
-    CellRecord,
     ExperimentResult,
     ExperimentSpec,
     JobSpec,
     _calibration_waves,
+    campaign_id,
     cell_key,
     run_campaign,
     run_smoke,
 )
+from repro.eval.reporting import format_campaign_manifest
 from repro.eval.results_io import serialize_run_result
 from repro.sim.runner import Runner
 from repro.workloads.multitenant import phase_churn_spec
@@ -443,6 +446,105 @@ class TestManifest:
         json.dumps(manifest)
         # Per-cell runtimes reached the PR-1 metrics registry.
         assert "campaign.cell_runtime_s" in manifest["metrics"]["histograms"]
+
+    def test_series_are_the_aggregated_values(self):
+        specs = {"test-exp": _spec(_smoke_like(["atax", "mvt"],
+                                               kind="profile"))}
+        report = run_campaign(["test-exp"], scale=SCALE, serial=True,
+                              specs=specs)
+        exp = report.manifest["experiments"]["test-exp"]
+        assert exp["series"] == report.results["test-exp"].series
+        assert set(exp["series"]["shm"]) == {"atax", "mvt"}
+        # A clean run records no retries.
+        assert all("retries" not in cell for cell in exp["cells"])
+
+    def test_carries_the_campaign_id(self):
+        report = run_campaign(["test-exp"], scale=SCALE, serial=True,
+                              specs={"test-exp": _spec(_smoke_like(
+                                  ["atax"], kind="profile"))})
+        assert report.manifest["campaign"] == campaign_id(
+            ["test-exp"], None, SCALE, report.manifest["code_version"])
+
+
+#: Worker-side crash/sleep marker (a file path).  Module-level fakes
+#: read it from the environment: pool children inherit it via fork.
+_MARKER_VAR = "REPRO_TEST_FAULT_MARKER"
+
+
+def _first_attempt(marker):
+    """True exactly once per marker file (created as the side effect)."""
+    if os.path.exists(marker):
+        return False
+    with open(marker, "w"):
+        pass
+    return True
+
+
+def _crash_then_ok(job):
+    """Pool worker fake: hard-dies (as OOM/kill would) on the first
+    attempt, then answers like a profile cell."""
+    if _first_attempt(os.environ[_MARKER_VAR]):
+        os._exit(13)
+    return {"profile": {"streaming_ratio": 0.5, "readonly_ratio": 0.5}}
+
+
+def _sleep_then_ok(job):
+    """Pool worker fake: blows the job budget on the first attempt
+    (SIGALRM interrupts the sleep), then answers immediately."""
+    if _first_attempt(os.environ[_MARKER_VAR]):
+        time.sleep(30.0)
+    return {"profile": {"streaming_ratio": 0.5, "readonly_ratio": 0.5}}
+
+
+def _always_crash(job):
+    """Pool worker fake: dies on every attempt."""
+    os._exit(13)
+
+
+class TestManifestRetries:
+    """A killed or over-budget pool worker is retried, and the cell's
+    manifest record says why, attempt by attempt."""
+
+    def _cell(self, tmp_path, monkeypatch, fake, **kwargs):
+        monkeypatch.setenv(_MARKER_VAR, str(tmp_path / "marker"))
+        monkeypatch.setattr("repro.eval.campaign._cell_worker", fake)
+        report = run_campaign(
+            ["test-exp"], scale=SCALE, jobs=2, retries=1,
+            specs={"test-exp": _spec(_smoke_like(["atax"],
+                                                 kind="profile"))},
+            **kwargs)
+        (cell,) = report.manifest["experiments"]["test-exp"]["cells"]
+        return report, cell
+
+    def test_worker_death_is_retried_and_recorded(self, tmp_path,
+                                                  monkeypatch):
+        report, cell = self._cell(tmp_path, monkeypatch, _crash_then_ok)
+        assert report.totals["failed"] == 0
+        assert cell["status"] == "ok"
+        assert cell["attempts"] == 2
+        assert cell["retries"] == ["worker_died"]
+        (rec,) = report.records["test-exp"]
+        assert rec.retries == ["worker_died"]
+        # ``repro inspect --cells`` shows the reason.
+        assert "retried: worker_died" in format_campaign_manifest(
+            report.manifest, verbose=True)
+
+    def test_timeout_is_retried_and_recorded(self, tmp_path, monkeypatch):
+        report, cell = self._cell(tmp_path, monkeypatch, _sleep_then_ok,
+                                  timeout=0.5)
+        assert report.totals["failed"] == 0
+        assert cell["attempts"] == 2
+        assert cell["retries"] == ["timeout"]
+
+    def test_exhausted_retries_leave_a_failed_cell(self, tmp_path,
+                                                   monkeypatch):
+        report, cell = self._cell(tmp_path, monkeypatch, _always_crash)
+        assert report.totals["failed"] == 1
+        assert cell["status"] == "failed"
+        assert cell["attempts"] == 2
+        # The first death was retried; the second one was final.
+        assert cell["retries"] == ["worker_died"]
+        assert cell["error"].startswith("[worker_died]")
 
 
 class TestRegistry:

@@ -278,6 +278,95 @@ class TestCampaignCLI:
         assert "atax" in out and "pssm" in out
 
 
+@pytest.fixture(scope="class")
+def smoke_manifests(tmp_path_factory):
+    """Serial and pool manifests of the smoke campaign on atax."""
+    from repro.eval.campaign import SMOKE_SPEC, run_campaign
+
+    root = tmp_path_factory.mktemp("manifests")
+    paths = {}
+    for mode, kwargs in (("serial", {"serial": True}), ("pool", {"jobs": 2})):
+        report = run_campaign(["smoke"], scale=0.05, workloads=["atax"],
+                              specs={"smoke": SMOKE_SPEC}, **kwargs)
+        assert report.totals["failed"] == 0
+        paths[mode] = root / f"{mode}.json"
+        paths[mode].write_text(json.dumps(report.manifest))
+    return paths
+
+
+class TestDiffVerb:
+    def _edited(self, path, tmp_path, edit):
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        out = tmp_path / "edited.json"
+        out.write_text(json.dumps(manifest))
+        return out
+
+    def test_serial_and_pool_show_only_zero_deltas(self, smoke_manifests,
+                                                   capsys):
+        assert main(["diff", str(smoke_manifests["serial"]),
+                     str(smoke_manifests["pool"]), "--threshold", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "smoke/shm/atax" in out and "smoke/pssm/atax" in out
+        assert "2 value(s) compared, 0 differ by more than 0" in out
+        assert " *" not in out
+
+    def test_a_perturbed_value_is_flagged(self, smoke_manifests, tmp_path,
+                                          capsys):
+        def perturb(manifest):
+            manifest["experiments"]["smoke"]["series"]["shm"]["atax"] += 0.01
+
+        new = self._edited(smoke_manifests["pool"], tmp_path, perturb)
+        assert main(["diff", str(smoke_manifests["serial"]), str(new),
+                     "--threshold", "0.001"]) == 3
+        flagged = [line for line in capsys.readouterr().out.splitlines()
+                   if line.endswith(" *")]
+        assert len(flagged) == 1 and flagged[0].startswith("smoke/shm/atax")
+
+    def test_a_manifest_without_series_is_rejected(self, smoke_manifests,
+                                                   tmp_path):
+        def strip(manifest):
+            del manifest["experiments"]["smoke"]["series"]
+
+        old = self._edited(smoke_manifests["serial"], tmp_path, strip)
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", str(old), str(smoke_manifests["pool"])])
+        assert "'series'" in str(exc.value) and str(old) in str(exc.value)
+
+    def test_nothing_comparable_exits_one(self, smoke_manifests, tmp_path,
+                                          capsys):
+        def rename(manifest):
+            experiments = manifest["experiments"]
+            experiments["other"] = experiments.pop("smoke")
+
+        new = self._edited(smoke_manifests["pool"], tmp_path, rename)
+        assert main(["diff", str(smoke_manifests["serial"]),
+                     str(new)]) == 1
+        assert "no comparable values" in capsys.readouterr().out
+
+
+class TestReproduceVerb:
+    def test_writes_tables_and_a_manifest(self, tmp_path, monkeypatch,
+                                          capsys):
+        import repro.cli as cli
+        import repro.eval.experiments as experiments
+
+        monkeypatch.setattr(cli, "FIGURES",
+                            {n: FIGURES[n] for n in ("5", "12", "16")})
+        monkeypatch.setattr(experiments, "DEFAULT_WORKLOADS", ["atax"])
+        outdir = tmp_path / "out"
+        assert main(["reproduce", "--scale", "0.05",
+                     "--outdir", str(outdir)]) == 0
+        assert "figure 16: skipped" in capsys.readouterr().out
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "fig12.txt", "fig5.txt", "manifest.json", "table9.txt"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["totals"]["failed"] == 0
+        assert set(manifest["experiments"]) == {"fig5", "fig12"}
+        assert set(manifest["experiments"]["fig12"]["series"]["shm"]) == {
+            "atax"}
+
+
 class TestBenchParser:
     def test_defaults(self):
         args = build_parser().parse_args(["bench"])

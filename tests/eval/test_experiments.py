@@ -144,3 +144,22 @@ class TestChunkSizeAblation:
         serial = cells(serial=True)
         assert set(serial) == {"chunk_4kb", "chunk_8kb"}
         assert cells(jobs=1) == serial
+
+
+class TestBandwidthSensitivityAblation:
+    def test_every_named_base_is_swept(self):
+        """Each named workload gets its own variant at every
+        utilisation and scheme; a second name is not dropped."""
+        from repro.common.config import SimConfig
+
+        spec = exp.EXPERIMENTS["ablation_bandwidth_sensitivity"]
+        jobs = spec.jobs(["atax", "mvt"], SimConfig(), 0.05)
+        cells = {(job.workload_base, job.workload,
+                  job.workload_overrides["bandwidth_utilization"],
+                  job.scheme) for job in jobs}
+        expected = {(base, f"{base}@{int(100 * util)}", util, scheme.value)
+                    for base in ("atax", "mvt")
+                    for util in exp.DEFAULT_UTILIZATIONS
+                    for scheme in exp.DEFAULT_BANDWIDTH_SCHEMES}
+        assert len(jobs) == len(expected) == 16
+        assert cells == expected

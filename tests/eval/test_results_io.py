@@ -1,73 +1,9 @@
-"""Result snapshots and regression diffs."""
+"""Lossless cell records, stable hashing, code versions and the
+content-addressed result store."""
 
 import pytest
 
 from repro.common.types import Scheme
-from repro.eval.results_io import (
-    compare_results,
-    load_results,
-    result_to_dict,
-    save_results,
-)
-
-
-class TestSnapshot:
-    def test_save_and_load(self, tiny_runner, tiny_streaming, tmp_path):
-        path = tmp_path / "r.json"
-        snapshot = save_results(tiny_runner, path, [tiny_streaming.name],
-                                [Scheme.PSSM, Scheme.SHM])
-        loaded = load_results(path)
-        assert loaded["results"] == snapshot["results"]
-        # Baseline + 2 schemes.
-        assert len(loaded["results"]) == 3
-
-    def test_normalized_ipc_included_for_schemes(self, tiny_runner,
-                                                 tiny_streaming, tmp_path):
-        snapshot = save_results(tiny_runner, tmp_path / "r.json",
-                                [tiny_streaming.name], [Scheme.SHM])
-        scheme_rows = [r for r in snapshot["results"] if r["scheme"] == "shm"]
-        assert scheme_rows and 0 < scheme_rows[0]["normalized_ipc"] <= 1.001
-
-    def test_result_to_dict_fields(self, tiny_runner, tiny_streaming):
-        result = tiny_runner.run(tiny_streaming.name, Scheme.SHM)
-        data = result_to_dict(result)
-        assert data["scheme"] == "shm"
-        assert set(data["traffic"]) == {"data", "ctr", "mac", "bmt", "mispred"}
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99, "results": []}')
-        with pytest.raises(ValueError):
-            load_results(path)
-
-
-class TestDiff:
-    def test_identical_snapshots_zero_delta(self, tiny_runner,
-                                            tiny_streaming, tmp_path):
-        snap = save_results(tiny_runner, tmp_path / "a.json",
-                            [tiny_streaming.name], [Scheme.SHM])
-        rows = compare_results(snap, snap)
-        assert rows
-        assert all(r["delta"] == 0.0 for r in rows)
-
-    def test_detects_regression(self, tiny_runner, tiny_streaming, tmp_path):
-        snap = save_results(tiny_runner, tmp_path / "a.json",
-                            [tiny_streaming.name], [Scheme.SHM])
-        import copy
-        worse = copy.deepcopy(snap)
-        for r in worse["results"]:
-            if "normalized_ipc" in r:
-                r["normalized_ipc"] -= 0.1
-        rows = compare_results(snap, worse)
-        assert all(r["delta"] == pytest.approx(-0.1) for r in rows)
-
-    def test_disjoint_snapshots_empty(self, tiny_runner, tiny_streaming,
-                                      tiny_random, tmp_path):
-        a = save_results(tiny_runner, tmp_path / "a.json",
-                         [tiny_streaming.name], [Scheme.SHM])
-        b = save_results(tiny_runner, tmp_path / "b.json",
-                         [tiny_random.name], [Scheme.SHM])
-        assert compare_results(a, b) == []
 
 
 class TestRunResultRoundTrip:

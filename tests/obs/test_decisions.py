@@ -55,7 +55,7 @@ class TestTaxonomy:
 
     def test_row_schema_is_stable(self):
         # Documented in docs/observability.md; downstream consumers
-        # (validate, reporting, the dashboard fold) key off these.
+        # (validate, reporting) key off these.
         assert ROW_FIELDS == (
             "seq", "run", "cycle", "kernel", "partition", "type",
             "detector", "region", "cause", "cost_bytes",

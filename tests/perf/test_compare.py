@@ -171,80 +171,3 @@ class TestPerCellVerdict:
         (one,) = report["reports"]
         assert one["regressed"] == ["a"]
         assert one["cells"][0]["delta_pct"] == pytest.approx(200.0)
-
-
-class TestStoreBaseline:
-    """--against-store: the telemetry store's rolling median as the
-    regression baseline."""
-
-    def test_empty_store_is_an_explicit_error(self, tmp_path):
-        from repro.perf.compare import against_store
-
-        with pytest.raises(ValueError, match="no bench history"):
-            against_store(doc_with({"a": 1.0}), tmp_path / "empty.db")
-
-    def test_store_reproduces_committed_baseline_verdict(self, tmp_path,
-                                                         capsys):
-        """ISSUE acceptance: record the committed baseline into the
-        store once, and --against-store must reach the same per-cell
-        verdict as --compare against the committed file."""
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(doc_with({"a": 100.0, "b": 100.0})))
-        new.write_text(json.dumps(doc_with({"a": 250.0, "b": 101.0})))
-        db = tmp_path / "telemetry.db"
-
-        assert main(["bench", "--against", str(old),
-                     "--record-store", str(db)]) == 0
-        file_exit = main(["bench", "--compare", str(old),
-                          "--against", str(new)])
-        file_out = capsys.readouterr().out
-        store_exit = main(["bench", "--against", str(new),
-                           "--against-store", str(db)])
-        store_out = capsys.readouterr().out
-        assert file_exit == store_exit == 3
-        # Identical per-cell verdicts from both baseline sources.
-        assert "a: 100.0 -> 250.0 ns/op (+150.0%)" in file_out
-        assert "a: 100.0 -> 250.0 ns/op (+150.0%)" in store_out
-
-    def test_rolling_window_absorbs_one_noisy_recording(self, tmp_path):
-        from repro.obs.store import TelemetryStore
-        from repro.perf.compare import STATUS_OK, against_store
-
-        store = TelemetryStore(tmp_path / "t.db")
-        for i, median in enumerate([100.0, 102.0, 9000.0]):
-            store.record_bench(doc_with({"a": median}),
-                               created_ts=float(i))
-        # Baseline = rolling median (102), not the noisy 9000.
-        (row,) = against_store(doc_with({"a": 105.0}), store)
-        assert row.status == STATUS_OK
-        assert row.old_median == 102.0
-
-    def test_recording_emits_bench_event(self, tmp_path):
-        from repro.obs.events import read_events
-
-        doc_path = tmp_path / "doc.json"
-        doc_path.write_text(json.dumps(doc_with({"a": 100.0})))
-        events = tmp_path / "events.jsonl"
-        assert main(["bench", "--against", str(doc_path),
-                     "--record-store", str(tmp_path / "t.db"),
-                     "--events", str(events)]) == 0
-        (row,) = read_events(events)
-        assert row["type"] == "bench_recorded"
-        assert row["benchmarks"] == {"a": 100.0}
-
-    def test_gate_trip_emits_regression_event(self, tmp_path):
-        from repro.obs.events import read_events
-
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(doc_with({"a": 100.0})))
-        new.write_text(json.dumps(doc_with({"a": 300.0})))
-        events = tmp_path / "events.jsonl"
-        assert main(["bench", "--compare", str(old),
-                     "--against", str(new),
-                     "--events", str(events)]) == 3
-        (row,) = read_events(events)
-        assert row["type"] == "regression_flagged"
-        assert row["benchmark"] == "a"
-        assert row["ratio"] == pytest.approx(3.0)

@@ -74,9 +74,10 @@ def test_stable_hash_survives_hash_randomization():
 
 
 # ---------------------------------------------------------------------------
-# Telemetry determinism: the event log's canonical export and the
-# store export must be byte-identical across execution modes and hash
-# seeds — otherwise telemetry diffs are noise, not signal.
+# Manifest determinism: once the fields that say how and how fast a
+# campaign ran are dropped, its manifest must be identical across
+# execution modes and hash seeds — otherwise manifest diffs are noise,
+# not signal.
 # ---------------------------------------------------------------------------
 
 def _profile_specs():
@@ -100,52 +101,48 @@ def _profile_specs():
                                   jobs=jobs, aggregate=aggregate)}
 
 
-class TestTelemetryDeterminism:
-    def _campaign(self, tmp_path, tag, **kwargs):
+#: Manifest fields that vary with the host and the execution mode.
+VOLATILE_FIELDS = ("elapsed_seconds", "jobs", "metrics", "store")
+
+
+def stable_manifest(manifest):
+    """``manifest`` without its volatile fields (per-cell ``runtime_s``
+    included)."""
+    out = {k: v for k, v in manifest.items() if k not in VOLATILE_FIELDS}
+    out["experiments"] = {
+        name: dict(entry, cells=[
+            {k: v for k, v in cell.items() if k != "runtime_s"}
+            for cell in entry["cells"]])
+        for name, entry in manifest["experiments"].items()}
+    return out
+
+
+class TestManifestDeterminism:
+    def test_serial_and_pool_manifests_agree(self):
         from repro.eval.campaign import run_campaign
-        from repro.obs.events import EventLog
-        from repro.obs.store import TelemetryStore
 
-        events = EventLog(tmp_path / f"{tag}.jsonl")
-        store = TelemetryStore(tmp_path / f"{tag}.db")
-        run_campaign(["det"], scale=SCALE, specs=_profile_specs(),
-                     events=events, telemetry=store, **kwargs)
-        events.close()
-        return events, store
+        serial, pool = (
+            run_campaign(["det"], scale=SCALE, specs=_profile_specs(),
+                         **mode).manifest
+            for mode in ({"serial": True}, {"jobs": 2}))
+        assert pool["jobs"] == 2
+        assert stable_manifest(serial) == stable_manifest(pool)
+        assert set(pool["experiments"]["det"]["series"]["p"]) == {
+            "atax", "mvt"}
 
-    def test_serial_and_pool_telemetry_export_identically(self, tmp_path):
-        from repro.obs.events import read_events, write_canonical
-
-        serial_events, serial_store = self._campaign(
-            tmp_path, "serial", serial=True)
-        pool_events, pool_store = self._campaign(tmp_path, "pool", jobs=2)
-
-        write_canonical(read_events(serial_events.path),
-                        tmp_path / "serial.canon")
-        write_canonical(read_events(pool_events.path),
-                        tmp_path / "pool.canon")
-        assert ((tmp_path / "serial.canon").read_bytes()
-                == (tmp_path / "pool.canon").read_bytes())
-        assert serial_store.export_text() == pool_store.export_text()
-
-    def test_canonical_event_export_survives_hash_randomization(
-            self, tmp_path):
+    def test_pool_manifest_survives_hash_randomization(self):
         """The same pool campaign under different PYTHONHASHSEEDs
-        canonicalises to the same bytes."""
+        writes the same manifest."""
         snippet = (
-            "import sys, tempfile, os\n"
+            "import json, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
-            "from tests.sim.test_determinism import _profile_specs, SCALE\n"
+            "from tests.sim.test_determinism import (SCALE, _profile_specs,\n"
+            "                                        stable_manifest)\n"
             "from repro.eval.campaign import run_campaign\n"
-            "from repro.obs.events import (EventLog, canonical_events,\n"
-            "                              encode_event, read_events)\n"
-            "with tempfile.TemporaryDirectory() as td:\n"
-            "    log = EventLog(os.path.join(td, 'e.jsonl'))\n"
-            "    run_campaign(['det'], scale=SCALE, jobs=2,\n"
-            "                 specs=_profile_specs(), events=log)\n"
-            "    log.close()\n"
-            "    for row in canonical_events(read_events(log.path)):\n"
-            "        sys.stdout.write(encode_event(row) + '\\n')\n"
+            "report = run_campaign(['det'], scale=SCALE, jobs=2,\n"
+            "                      specs=_profile_specs())\n"
+            "print(json.dumps(stable_manifest(report.manifest),\n"
+            "                 sort_keys=True))\n"
         )
         repo_root = os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__))))
@@ -158,7 +155,7 @@ class TestTelemetryDeterminism:
                 capture_output=True, text=True, check=True, timeout=300)
             outputs.add(out.stdout)
         assert len(outputs) == 1
-        assert "cell_completed" in next(iter(outputs))
+        assert '"series"' in next(iter(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ class TestTelemetryDeterminism:
 # byte-identical between the batch loop and the per-access reference
 # drive, across the serial and pool campaign paths, and across hash
 # seeds — it is the provenance record campaign cells carry into the
-# telemetry store.
+# manifest.
 # ---------------------------------------------------------------------------
 
 class TestDecisionLedgerDeterminism:
