@@ -13,6 +13,7 @@ Examples::
     python -m repro inspect campaign.json
     python -m repro campaign --smoke --store /tmp/repro-store
     python -m repro diff old-campaign.json campaign.json --threshold 0
+    python -m repro bench HEAD paper-fig12
     python -m repro suite --list
     python -m repro hardware
 """
@@ -70,6 +71,18 @@ def _worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _bench_workload(name: str) -> str:
+    """argparse type for ``repro bench``'s WORKLOAD: a workload that
+    ``BENCHMARK.json`` lists."""
+    from repro.perf.ab import load_benchmark
+
+    names = [w["name"] for w in load_benchmark()["workloads"]]
+    if name not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {name!r}; choose from: {', '.join(names)}")
+    return name
 
 
 def _build_observer(args: argparse.Namespace):
@@ -290,86 +303,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned micro+macro benchmark matrix, emit a
-    schema-valid ``BENCH_*.json``, and optionally gate against a
-    committed baseline document (``--compare``; exit 3 on a median
-    regression beyond the threshold).  ``--report`` writes the
-    machine-readable per-cell comparison for CI artifacts.
-    """
-    import json
-    from pathlib import Path
+    """Paired perfbench runs of the working tree against ``BASE``."""
+    from repro.perf import ab
 
-    from repro.eval.reporting import format_bench_compare, format_bench_table
-    from repro.perf import bench as bench_mod
-    from repro.perf import compare as compare_mod
-    from repro.perf.schema import BenchSchemaError, validate_bench, validate_file
-
-    if args.list:
-        for case in bench_mod.build_cases(smoke=args.smoke,
-                                          pattern=args.filter):
-            print(f"{case.name:28s} {case.kind:6s} {case.unit}")
-        return 0
-
-    if args.ledger_overhead:
-        doc = bench_mod.measure_ledger_overhead()
-        Path(args.ledger_overhead).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"ledger overhead ({doc['config']['workload']}/"
-              f"{doc['config']['scheme']}, {doc['decisions']} decisions): "
-              f"null {doc['null_ms']['median']:.1f} ms -> ledger "
-              f"{doc['ledger_ms']['median']:.1f} ms "
-              f"({doc['median_delta']:+.1%} median; reported, not gated)")
-        print(f"wrote {args.ledger_overhead}")
-        return 0
-
-    def gate(doc: dict) -> int:
-        """Compare with ``--compare`` when given; write the report
-        artifact; exit 3 when the baseline flags a regression."""
-        exit_code = 0
-        reports = []
-        if args.compare:
-            try:
-                old = validate_file(args.compare)
-            except (OSError, BenchSchemaError) as exc:
-                raise SystemExit(str(exc))
-            rows = compare_mod.compare_docs(old, doc, args.threshold)
-            label = f"baseline {args.compare}"
-            print()
-            print(format_bench_compare(rows, args.threshold,
-                                       title=f"vs {label}"))
-            reports.append(compare_mod.compare_report(
-                rows, args.threshold, baseline=label))
-            if compare_mod.regressions(rows):
-                exit_code = 3
-        if args.report:
-            Path(args.report).write_text(json.dumps(
-                {"bench_report_format": 1, "reports": reports},
-                indent=2, sort_keys=True) + "\n")
-            print(f"\nwrote comparison report {args.report}")
-        return exit_code
-
-    if args.against:
-        # Offline mode: gate an existing document, no run.
-        if not args.compare:
-            raise SystemExit("--against requires --compare OLD.json")
-        try:
-            new = validate_file(args.against)
-        except (OSError, BenchSchemaError) as exc:
-            raise SystemExit(str(exc))
-        return gate(new)
-
-    doc = bench_mod.run_bench(
-        smoke=args.smoke, pattern=args.filter,
-        repeats=args.repeats, warmup=args.warmup,
-        progress=lambda name: print(f"bench {name} ...", flush=True),
-    )
-    validate_bench(doc)
-    output = args.output or bench_mod.default_output_name(doc)
-    Path(output).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print()
-    print(format_bench_table(doc, title="repro bench"))
-    print(f"\nwrote {output}")
-    return gate(doc)
+    return ab.bench(args.base, args.workloads)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -719,45 +656,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="benchmark the simulator's own host performance "
-             "(micro + macro matrix, BENCH_*.json baselines)",
+        help="paired perfbench runs of the working tree against a git "
+             "revision; exit 3 on a regression beyond BENCHMARK.json's "
+             "bounds",
     )
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="CI-sized run: full micro matrix, one macro "
-                              "cell, fewer repetitions")
-    p_bench.add_argument("--filter", default=None, metavar="SUBSTR",
-                         help="only run benchmarks whose name contains "
-                              "SUBSTR")
-    p_bench.add_argument("--repeats", type=int, default=None,
-                         help="timed samples per benchmark "
-                              "(default: 5; smoke: 3)")
-    p_bench.add_argument("--warmup", type=int, default=None,
-                         help="untimed warmup samples per benchmark "
-                              "(default: 2; smoke: 1)")
-    p_bench.add_argument("--output", default=None, metavar="PATH",
-                         help="output JSON path "
-                              "(default: BENCH_<shortsha>.json)")
-    p_bench.add_argument("--compare", default=None, metavar="OLD.json",
-                         help="diff against this baseline after running; "
-                              "exit 3 on a median regression beyond "
-                              "--threshold")
-    p_bench.add_argument("--against", default=None, metavar="NEW.json",
-                         help="gate this already-emitted file instead of "
-                              "running (with --compare)")
-    p_bench.add_argument("--report", default=None, metavar="OUT.json",
-                         help="write the per-cell comparison report "
-                              "(machine-readable, for CI artifacts)")
-    p_bench.add_argument("--threshold", type=float, default=0.15,
-                         help="regression gate on the median growth "
-                              "(fraction, default 0.15)")
-    p_bench.add_argument("--ledger-overhead", default=None,
-                         metavar="OUT.json",
-                         help="measure the decision ledger's host-time "
-                              "overhead on one macro cell and write the "
-                              "document (reported as a CI artifact, never "
-                              "gated); skips the normal matrix")
-    p_bench.add_argument("--list", action="store_true",
-                         help="list benchmark names and exit")
+    p_bench.add_argument("base", metavar="BASE",
+                         help="git revision to compare against (e.g. HEAD, "
+                              "HEAD^, main)")
+    p_bench.add_argument("workloads", nargs="*", default=[],
+                         metavar="WORKLOAD", type=_bench_workload,
+                         help="BENCHMARK.json workloads to run (default: "
+                              "all)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_camp = sub.add_parser(

@@ -10,7 +10,7 @@ integration tests use this instead of wiring the pieces by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common import constants
 from repro.core.functional import SecureMemoryDevice

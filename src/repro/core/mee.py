@@ -401,32 +401,9 @@ class MemoryEncryptionEngine:
         if self._led_track:
             self._led_bytes += size
             self._led_transfers += 1
-        cycle = self._cycle
-        channel = self._channels[partition]
-        if channel.fifo_fast:
-            # DRAMChannel.occupy, inlined (fifo_fast is off on observed
-            # channels, so no dram event can be owed).
-            start = channel._next_free
-            if cycle > start:
-                start = cycle
-            occupancy = (channel.request_overhead
-                         + size / channel.bytes_per_cycle)
-            if is_write != channel._last_was_write:
-                occupancy += channel.turnaround
-                channel._last_was_write = is_write
-            next_free = start + occupancy
-            channel._next_free = next_free
-            stats = channel.stats
-            stats.requests += 1
-            stats.busy_cycles += occupancy
-            if is_write:
-                stats.write_bytes += size
-            else:
-                stats.read_bytes += size
-            done = next_free + channel.latency
-        else:
-            done = channel.service(cycle, size, is_write, address=address,
-                                   kind=kind, critical=critical)
+        done = self._channels[partition].service(
+            self._cycle, size, is_write, address=address, kind=kind,
+            critical=critical)
         if critical and done > self._ctr_done:
             self._ctr_done = done
         if self._observe:

@@ -25,7 +25,7 @@ registry name in ``SchemeConfig.name``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from repro.common.config import DetectorConfig, SchemeConfig
 from repro.common.types import Scheme

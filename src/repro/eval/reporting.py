@@ -402,84 +402,8 @@ def format_decision_summary(summaries: Dict[str, dict],
 
 
 # ----------------------------------------------------------------------
-# Performance observability (``repro bench`` / host profiling)
+# Performance observability (host profiling)
 # ----------------------------------------------------------------------
-
-def format_bench_table(doc: dict, title: Optional[str] = None) -> str:
-    """Render a ``bench_format`` document as an aligned table of the
-    robust statistics (min / median / MAD)."""
-    benchmarks = doc["benchmarks"]
-    name_width = max([len("benchmark")] + [len(n) for n in benchmarks])
-    header = (f"{'benchmark'.ljust(name_width)}  {'unit':>7s} "
-              f"{'min':>12s} {'median':>12s} {'MAD':>10s} {'reps':>5s}")
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(header))
-    environment = doc.get("environment", {})
-    lines.append(
-        f"code {environment.get('git_sha') or '?'}  "
-        f"python {environment.get('python', '?')}  "
-        f"{environment.get('cpu_count', '?')} cpus"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name in sorted(benchmarks):
-        entry = benchmarks[name]
-        stats = entry["stats"]
-        lines.append(
-            f"{name.ljust(name_width)}  {entry['unit']:>7s} "
-            f"{stats['min']:12.1f} {stats['median']:12.1f} "
-            f"{stats['mad']:10.2f} {len(entry['samples']):5d}"
-        )
-    return "\n".join(lines)
-
-
-def format_bench_compare(rows, threshold: float,
-                         title: Optional[str] = None) -> str:
-    """Render :func:`repro.perf.compare.compare_docs` rows; regressed
-    benchmarks carry a trailing ``<<<`` marker and are itemised with
-    their per-cell deltas under the verdict, so the gate names *which*
-    cells regressed and by how much."""
-    name_width = max([len("benchmark")] + [len(r.name) for r in rows])
-    header = (f"{'benchmark'.ljust(name_width)}  {'unit':>7s} "
-              f"{'old':>12s} {'new':>12s} {'ratio':>7s} {'delta':>8s}"
-              f"  status")
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(header))
-    lines.append(header)
-    lines.append("-" * len(header))
-    regressed = []
-    for row in rows:
-        old = f"{row.old_median:12.1f}" if row.old_median is not None \
-            else f"{'-':>12s}"
-        new = f"{row.new_median:12.1f}" if row.new_median is not None \
-            else f"{'-':>12s}"
-        ratio = f"{row.ratio:7.3f}" if row.ratio is not None \
-            else f"{'-':>7s}"
-        delta = f"{row.delta:+8.1%}" if row.delta is not None \
-            else f"{'-':>8s}"
-        marker = ""
-        if row.status == "regression":
-            regressed.append(row)
-            marker = "  <<<"
-        lines.append(f"{row.name.ljust(name_width)}  {row.unit:>7s} "
-                     f"{old} {new} {ratio} {delta}  {row.status}{marker}")
-    lines.append("-" * len(header))
-    if regressed:
-        lines.append(f"{len(regressed)} regression(s) beyond the "
-                     f"{threshold:.0%} median gate:")
-        for row in regressed:
-            lines.append(
-                f"  {row.name}: {row.old_median:.1f} -> "
-                f"{row.new_median:.1f} {row.unit} ({row.delta:+.1%})"
-            )
-    else:
-        lines.append(f"no regression beyond the {threshold:.0%} median gate")
-    return "\n".join(lines)
-
 
 def format_host_profile(snapshot: dict, title: Optional[str] = None) -> str:
     """Render a ``host_profile_format`` 2 document (see

@@ -11,7 +11,7 @@ O(1) and memory is constant no matter how long the run is.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 #: Bucket boundaries grow by this factor: 2 ** (1/4), four per octave.
 HIST_BASE = 2.0 ** 0.25

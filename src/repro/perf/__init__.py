@@ -1,12 +1,10 @@
-"""Performance observability: host-time profiling and benchmarking.
+"""Performance observability: host-time profiling and paired benchmarking.
 
 Where :mod:`repro.obs` observes *simulated* cycles, this package
-observes the simulator itself — host time per simulator layer from an
-out-of-band stack sampler (:mod:`repro.perf.hostprof`), a pinned
-micro+macro benchmark matrix with robust statistics
-(:mod:`repro.perf.bench`), the ``BENCH_*.json`` schema
-(:mod:`repro.perf.schema`) and baseline comparison with a regression
-gate (:mod:`repro.perf.compare`).
+observes the simulator itself: host time per simulator layer from an
+out-of-band stack sampler (:mod:`repro.perf.hostprof`), and ``repro
+bench BASE``, paired runs of the repository benchmark (``perfbench/``)
+on the working tree and on a git revision (:mod:`repro.perf.ab`).
 """
 
 from repro.perf.hostprof import (

@@ -104,7 +104,9 @@ def execute_jobs(
     """Run ``worker(payload)`` for every payload on a process pool.
 
     ``jobs == 1`` runs everything in-process (no pool, no pickling),
-    which the tests and the ``--serial`` CLI path use.  ``timeout``
+    which the tests and ``repro campaign --jobs 1`` use; ``repro
+    campaign --serial`` never comes here (``run_campaign(serial=True)``
+    runs its cells through ``_SerialEvaluator``).  ``timeout``
     bounds each job's wall-clock seconds; a timed-out or crashed job
     is retried up to ``retries`` extra attempts with ``backoff *
     attempt`` seconds between waves, then recorded as failed.

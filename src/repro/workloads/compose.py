@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import random
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union

@@ -10,9 +10,8 @@ attention KV-caches and sort buffers are not).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
-from repro.common.types import MemorySpace
 from repro.workloads import patterns as pat
 from repro.workloads.base import Workload, WorkloadBuilder
 

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common import constants
 from repro.common.address import AddressMapper, LocalAddress
 
 

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.common import constants
 from repro.common.config import (
     CacheConfig,
     DetectorConfig,
     GPUConfig,
-    MDCConfig,
     SimConfig,
     scheme_config,
 )

@@ -8,7 +8,7 @@ from collections import namedtuple
 
 import pytest
 
-from repro.common.types import MemorySpace, TrafficCounters
+from repro.common.types import TrafficCounters
 from repro.core.policies.registry import SCHEME_REGISTRY
 from repro.memory.dram import DRAMChannel
 from repro.sim.pipeline import MemoryPipeline
@@ -66,13 +66,12 @@ Transfer = namedtuple("Transfer",
 class RecordingChannel(DRAMChannel):
     """A FIFO DRAM channel that logs every transfer placed on it.
 
-    ``fifo_fast`` is off, so the MEE cannot inline the occupancy: every
-    transfer goes through :meth:`service`, which appends a
-    :class:`Transfer` to the shared ``log`` and then serves it."""
+    The MEE places every transfer through :meth:`service`, which
+    appends a :class:`Transfer` to the shared ``log`` and then serves
+    it."""
 
     def __init__(self, partition: int, log: list) -> None:
         super().__init__(partition=partition)
-        self.fifo_fast = False
         self.log = log
 
     def service(self, arrival, size, is_write=False, address=-1,

@@ -19,8 +19,6 @@ from repro.common.types import Pattern, Scheme
 from repro.core.policies import available_schemes, build_scheme_config
 from repro.core.policies.learned import (
     ARMS,
-    CHUNK_READ_SAVING,
-    EPOCH_ACCESSES,
     FEATURES,
     MAX_SAMPLE_WEIGHT,
     MIN_MODEL_UPDATES,

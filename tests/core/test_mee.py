@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.address import AddressMapper
-from repro.common.config import SimConfig, scheme_config
+from repro.common.config import SimConfig
 from repro.common.types import Pattern, Scheme
 from repro.core.mee import MemoryEncryptionEngine
 from repro.metadata.counters import SharedCounter

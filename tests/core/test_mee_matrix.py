@@ -9,7 +9,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import constants
 from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.common.types import Scheme

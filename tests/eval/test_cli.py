@@ -367,25 +367,6 @@ class TestReproduceVerb:
             "atax"}
 
 
-class TestBenchParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.smoke is False
-        assert args.threshold == 0.15
-        assert args.repeats is None and args.warmup is None
-        assert args.output is None and args.compare is None
-
-    def test_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--smoke", "--filter", "micro.", "--repeats", "2",
-             "--compare", "old.json", "--threshold", "0.2"]
-        )
-        assert args.smoke and args.filter == "micro."
-        assert args.repeats == 2
-        assert args.compare == "old.json"
-        assert args.threshold == 0.2
-
-
 class TestHostProfileCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["inspect", "--host-profile"])

@@ -1,8 +1,6 @@
 """Composed (workload_spec) cells through the campaign engine: the
 multi-tenant experiments, cell identity, serial-vs-pool identity."""
 
-import pytest
-
 from repro.common.config import SimConfig
 from repro.eval.campaign import (
     JobSpec,

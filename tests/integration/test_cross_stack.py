@@ -6,8 +6,6 @@ for the read-only design, where divergence would be a soundness bug
 (e.g. the traffic model skipping counters the functional model needs).
 """
 
-import pytest
-
 from repro.common import constants
 from repro.common.address import AddressMapper
 from repro.common.config import SimConfig

@@ -1,6 +1,5 @@
 """Metadata geometry: coverage arithmetic and carve-out placement."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.common import constants

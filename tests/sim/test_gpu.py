@@ -1,7 +1,5 @@
 """GPU simulator integration on tiny workloads."""
 
-import pytest
-
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.sim.gpu import GPUSimulator

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.types import MemorySpace
-from repro.workloads.base import ALLOC_ALIGN, Buffer, WorkloadBuilder
+from repro.workloads.base import ALLOC_ALIGN, WorkloadBuilder
 from repro.workloads import patterns as pat
 
 KB = 1024

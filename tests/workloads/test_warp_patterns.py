@@ -31,7 +31,6 @@ class TestCoalescing:
         assert accesses == [(0, False, 4), (128, False, 4)]
 
     def test_divergence_fragments_transactions(self):
-        rng = random.Random(3)
         coalesced = warp_accesses(random.Random(3), 0, 1024 * KB, 50,
                                   divergence=0.0)
         divergent = warp_accesses(random.Random(3), 0, 1024 * KB, 50,
