@@ -249,38 +249,6 @@ class SectoredCache:
             lines[key] = line
         return hit_mask, fetch_mask, eviction
 
-    def write_range_resident(self, key: Hashable, first: int,
-                             last: int) -> bool:
-        """Bulk store to a line *if it is resident*: one set probe
-        decides residency and performs the write.
-
-        Equivalent to ``has_line(key)`` followed by
-        ``access_range(key, first, last, is_write=True,
-        fetch_on_miss=False)`` when the line is allocated — same
-        statistics, masks and LRU motion; returns False (cache
-        untouched) when it is not, in which case the caller must run
-        the allocating per-sector store path.  Sectors must lie in
-        ``[0, sectors_per_block]`` (the pipeline's translate step
-        already clamps them).
-        """
-        n = last - first
-        if n <= 0:
-            return True
-        lines = self._sets[key % self.num_sets if type(key) is int
-                           else self.set_index(key)]
-        line = lines.get(key)
-        if line is None:
-            return False
-        range_mask = ((1 << n) - 1) << first
-        self.accesses += n
-        self.hits += _popcount(line.valid_mask & range_mask)
-        line.valid_mask |= range_mask
-        line.dirty_mask |= range_mask
-        if next(reversed(lines)) is not key:
-            del lines[key]
-            lines[key] = line
-        return True
-
     def fill_all_sectors(self, key: Hashable) -> None:
         """Mark every sector of a *resident* line valid, in bulk.
 

@@ -6,13 +6,18 @@ Each memory partition has two L2 banks.  A small fraction of sets is
 miss rate reflects pure data behaviour — the signal used to decide
 when to enable the victim-cache mode (the set-sampling idea of
 utility-based cache partitioning).
+
+Outside that mode only data reaches the L2, so :func:`resolve_l2`
+computes a workload's L2 outcomes once for every run to replay.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
+from repro.common import constants
 from repro.common.config import CacheConfig, GPUConfig
 from repro.memory.cache import Eviction, SectoredCache
 from repro.memory.mshr import MSHRFile
@@ -20,6 +25,10 @@ from repro.obs.observer import NULL_OBSERVER
 
 #: One in SAMPLE_STRIDE sets is reserved for data-only sampling.
 SAMPLE_STRIDE = 16
+
+#: Flag bit of a resolved outcome byte: the access displaced a dirty
+#: line (the low four bits are the access's resident-sector mask).
+DIRTY_VICTIM = 1 << constants.SECTORS_PER_BLOCK
 
 
 @dataclass
@@ -247,3 +256,65 @@ class PartitionL2:
         for bank in self.banks:
             evictions.extend(bank.flush())
         return evictions
+
+
+@dataclass
+class ResolvedL2:
+    """What a workload's accesses find in the L2 when only data moves
+    through it.
+
+    Without victim parking (Section IV-D) nothing but the data access
+    stream reaches an L2 data set, so which sectors each access finds
+    resident and which dirty lines it displaces follow from that stream
+    and the L2 geometry alone; only MSHR merges depend on timing.
+    :func:`resolve_l2` computes these outcomes once per workload and
+    :class:`~repro.sim.pipeline.MemoryPipeline` replays them in every
+    run that parks no metadata in the L2.  Dirty lines are packed as
+    ``line_key << 3 | dirty_sectors`` (see :func:`unpack_line`).
+    """
+
+    #: One byte per access, in issue order across kernels: its
+    #: resident-sector mask, or'ed with :data:`DIRTY_VICTIM` when it
+    #: displaced a dirty line.
+    outcomes: bytes
+    #: The displaced dirty lines, in the order accesses displaced them.
+    evicted: array
+    #: The dirty lines left at the end of the run, in flush order.
+    flush: array
+
+
+def unpack_line(packed: int) -> Eviction:
+    """The write-back obligation of one packed dirty line."""
+    dirty = packed & 7
+    return Eviction(key=packed >> 3, dirty_sectors=dirty,
+                    valid_sectors=dirty)
+
+
+def resolve_l2(workload, gpu: GPUConfig) -> ResolvedL2:
+    """Run ``workload``'s accesses through bare L2 banks of ``gpu``'s
+    geometry, in issue order, and record what each access found: the
+    same cache operations :class:`~repro.sim.pipeline.MemoryPipeline`
+    performs on a non-victim run, without MSHRs, timing or metadata."""
+    l2 = [PartitionL2(gpu, p) for p in range(gpu.num_partitions)]
+    block = constants.BLOCK_SIZE
+    sector_size = constants.SECTOR_SIZE
+    spb = constants.SECTORS_PER_BLOCK
+    interleave = gpu.interleave_bytes
+    nparts = gpu.num_partitions
+    outcomes = bytearray()
+    evicted = array("q")
+    for kernel in workload.kernels:
+        for addr, is_write, nsectors in kernel.accesses:
+            line_key = addr // block
+            first = (addr % block) // sector_size
+            last = min(first + nsectors, spb)
+            cache = l2[addr // interleave % nparts].bank_for(line_key).cache
+            resident, _, eviction = cache.access_range(
+                line_key, first, last, is_write, not is_write)
+            if eviction is not None and eviction.dirty_sectors:
+                evicted.append(eviction.key << 3 | eviction.dirty_sectors)
+                resident |= DIRTY_VICTIM
+            outcomes.append(resident)
+    flush = array("q", [line.key << 3 | line.dirty_sectors
+                        for part in l2 for line in part.flush()])
+    return ResolvedL2(bytes(outcomes), evicted, flush)

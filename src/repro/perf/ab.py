@@ -3,8 +3,9 @@
     python -m repro bench HEAD^                 # every BENCHMARK.json workload
     python -m repro bench main paper-fig12      # one workload
 
-``BASE`` is materialised under ``.perfbench/ab/<sha>/`` with ``git
-archive <sha> | tar -x`` (``.git`` and the working tree are never
+``BASE`` is extracted with ``git archive <sha> | tar -x`` into a fresh
+temporary directory under ``.perfbench/ab/``, removed again when the
+command ends however it ends (``.git`` and the working tree are never
 touched), then each workload runs :data:`PAIRS` pairs of each tree's own
 ``perfbench/run.py --seed 0 --seconds <run_seconds> --trace 0``, the
 base first on even pairs and the change first on odd ones, so host
@@ -30,6 +31,7 @@ status: 3 on any ``worse`` verdict, 2 when a run fails or reports
 
 from __future__ import annotations
 
+import contextlib
 import json
 import shutil
 import statistics
@@ -37,7 +39,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence
 
 #: The checkout this package was imported from: the change's tree.
 ROOT = Path(__file__).resolve().parents[3]
@@ -62,36 +64,42 @@ def load_benchmark() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def materialise(rev: str, root: Path = ROOT) -> Path:
-    """The tree of commit ``rev`` under ``root/.perfbench/ab/<sha>/``,
-    extracted on first use.  The archive is unpacked under a temporary
-    name and renamed into place, so an interrupted extraction is never
-    reused; ``.git`` and the working tree are only read."""
+def resolve(rev: str, root: Path = ROOT) -> str:
+    """The full sha of commit ``rev``; ValueError when there is none."""
     try:
-        sha = subprocess.run(
+        return subprocess.run(
             ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
             cwd=root, check=True, capture_output=True,
             text=True).stdout.strip()
     except subprocess.CalledProcessError:
         raise ValueError(f"unknown revision {rev!r}") from None
-    dest = root / ".perfbench" / "ab" / sha
-    if dest.is_dir():
-        return dest
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f"{sha}.", dir=dest.parent))
+
+
+@contextlib.contextmanager
+def materialise(rev: str, root: Path = ROOT) -> Iterator[Path]:
+    """The tree of commit ``rev`` at ``root/.perfbench/ab/<tmp>/<sha>/``
+    for the duration of the ``with`` block.  ``<tmp>`` is a fresh
+    temporary directory, removed with the tree when the block exits by
+    return, exception or interrupt, so no base tree outlives its run
+    and concurrent runs never share one; ``.git`` and the working tree
+    are only read."""
+    sha = resolve(rev, root)
+    parent = root / ".perfbench" / "ab"
+    parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(dir=parent))
     try:
+        tree = scratch / sha
+        tree.mkdir()
         with subprocess.Popen(["git", "archive", sha], cwd=root,
                               stdout=subprocess.PIPE) as archive:
-            subprocess.run(["tar", "-x", "-C", str(tmp)],
+            subprocess.run(["tar", "-x", "-C", str(tree)],
                            stdin=archive.stdout, check=True)
         if archive.returncode:
             raise subprocess.CalledProcessError(archive.returncode,
                                                 ["git", "archive", sha])
-        tmp.rename(dest)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return dest
+        yield tree
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def perfbench_run(tree: Path, workload: str) -> dict:
@@ -213,9 +221,10 @@ def bench(base: str, workloads: Sequence[str] = ()) -> int:
     workloads = (list(workloads)
                  or [w["name"] for w in load_benchmark()["workloads"]])
     try:
-        trees = {"base": materialise(base), "change": ROOT}
+        sha = resolve(base, ROOT)
     except ValueError as exc:
         raise SystemExit(f"repro bench: {exc}")
-    print(f"repro bench: {base} ({trees['base'].name[:12]}) vs the working "
-          f"tree, {PAIRS} pairs of {', '.join(workloads)}", flush=True)
-    return run_ab(trees, workloads)
+    with materialise(sha, ROOT) as tree:
+        print(f"repro bench: {base} ({sha[:12]}) vs the working tree, "
+              f"{PAIRS} pairs of {', '.join(workloads)}", flush=True)
+        return run_ab({"base": tree, "change": ROOT}, workloads)

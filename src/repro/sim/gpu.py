@@ -27,7 +27,7 @@ from repro.common.types import PredictionStats
 from repro.core.mee import MemoryEncryptionEngine, TruthProvider
 from repro.core.victim import VictimController
 from repro.memory.dram import DRAMChannel
-from repro.memory.l2 import PartitionL2
+from repro.memory.l2 import PartitionL2, ResolvedL2, resolve_l2
 from repro.memory.sched import build_scheduler
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -113,6 +113,7 @@ class GPUSimulator:
         workload: Workload,
         gap: float = 0.001,
         max_inflight: Optional[int] = None,
+        resolved: Optional[ResolvedL2] = None,
     ) -> RunResult:
         """Simulate the workload.
 
@@ -127,10 +128,18 @@ class GPUSimulator:
         boundary because host events and detector/victim updates happen
         between them; composed suites merge ``barrier: false`` phases
         into their kernel, so no mid-kernel marker splits a batch.
+
+        Unless the scheme parks metadata in the L2, the pipeline
+        replays the workload's resolved L2 outcomes: ``resolved`` (the
+        runner passes its calibration's, computed for this workload on
+        this L2 geometry) or, when not given, :func:`resolve_l2`'s.
         """
         window = CompletionWindow(
             max_inflight or self.config.gpu.max_inflight_requests, gap)
         pipeline = self.pipeline
+        if not self.scheme.l2_victim_cache:
+            pipeline.replay(resolved if resolved is not None
+                            else resolve_l2(workload, self.config.gpu))
         observe = self._observe
         if observe:
             # .label, not .scheme.value: a custom registry scheme must

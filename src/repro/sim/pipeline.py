@@ -4,18 +4,20 @@ A :class:`MemoryPipeline` owns the L2 partitions, the per-partition
 MEEs and the DRAM channels, and walks every access through the
 lifecycle the paper studies — issued → L2 → metadata (MEE) → DRAM →
 complete.  :meth:`MemoryPipeline.run_batch` is the run loop: it takes
-one kernel's accesses through the issue window in a single fused pass.
-:meth:`MemoryPipeline.access` is the same lifecycle for one access, the
-straight-line reference the batch loop is tested against.  An attached
-observer is called directly at the lifecycle transitions, as the
-channels, L2 banks and MEEs call it.
+one kernel's accesses through the issue window in a single pass,
+replaying the workload's resolved L2 outcomes unless the scheme parks
+metadata in the L2.  :meth:`MemoryPipeline.access` is the same
+lifecycle for one access on the live L2, the straight-line reference
+the batch loop is tested against.  An attached observer is called
+directly at the lifecycle transitions, as the channels, L2 banks and
+MEEs call it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.mshr import MSHRFile
@@ -29,12 +31,14 @@ from repro.common.types import TrafficCounters
 from repro.core.mee import MemoryEncryptionEngine
 from repro.memory.cache import Eviction
 from repro.memory.dram import DRAMChannel
-from repro.memory.l2 import SAMPLE_STRIDE, PartitionL2
+from repro.memory.l2 import (DIRTY_VICTIM, PartitionL2, ResolvedL2,
+                             unpack_line)
 from repro.obs.observer import NULL_OBSERVER
 from repro.sim.stats import L2Stats
 
 #: Completion latency of an L2 hit (core <-> L2 round trip).
 L2_HIT_LATENCY = 90
+
 
 class MemoryPipeline:
     """L2 → MEE → DRAM for one simulation instance.
@@ -74,13 +78,19 @@ class MemoryPipeline:
         # in this pipeline's traffic counters, when the MEE emits it.
         for mee in mees:
             mee.attach_channels(channels, self.traffic)
-        #: Translate/classify memo of the batch core: access tuple
+        #: Translation memo of the batch core: access tuple
         #: ``(addr, is_write, nsectors)`` -> its precomputed route (see
         #: :meth:`translate_batch`).  Address mapping, bank selection
         #: and sector arithmetic are pure functions of the access and
-        #: the (fixed) topology, so each distinct access is resolved
+        #: the (fixed) topology, so each distinct access is translated
         #: once per pipeline.
         self._xlate: Dict[Tuple[int, bool, int], tuple] = {}
+        #: The resolved L2 outcomes a non-victim run replays (see
+        #: :meth:`replay`), how many it has replayed, and the displaced
+        #: dirty lines still to come.
+        self._resolved: Optional[ResolvedL2] = None
+        self._replayed = 0
+        self._evicted: Iterator[int] = iter(())
 
     # ------------------------------------------------------------------
     # Access path
@@ -91,9 +101,10 @@ class MemoryPipeline:
         """Run one access through the full lifecycle; returns its
         completion cycle.
 
-        The per-access reference of :meth:`run_batch`: the address is
-        mapped afresh and every read goes through the L2 bank's lookup,
-        with no translation memo and no inlined hit path.
+        The per-access reference of :meth:`run_batch`, and its path in
+        victim mode: the address is mapped afresh and every access walks
+        the live L2 bank, with no translation memo and no resolved
+        outcome.
         """
         line_addr = addr - addr % constants.BLOCK_SIZE
         line_key = line_addr // constants.BLOCK_SIZE
@@ -180,18 +191,15 @@ class MemoryPipeline:
     # ------------------------------------------------------------------
 
     def translate_batch(self, accesses) -> list:
-        """Translate + classify one kernel batch in a single pass.
+        """Translate one kernel batch in a single pass.
 
-        Each access tuple resolves to ``(is_write, line_addr,
-        line_key, partition, local_offset, bank, cache, first, last,
-        n, range_mask, sampled, lines, mshr)`` — the physical-to-local
-        mapping, home L2 bank (resolved down to the bank's set dict and
-        MSHR file, so the hot loop does no partition/bank/set
-        indexing), the clamped sector range and its bitmask, and
-        whether the line falls in a miss-rate-sampled set.  Distinct
-        accesses are memoised in :attr:`_xlate`; repeated addresses
-        (the common case in the suite's strided kernels) cost one dict
-        probe.
+        Each access tuple resolves to ``(is_write, line_addr, line_key,
+        partition, local_offset, first, last, range_mask, mshr)`` — the
+        physical-to-local mapping, the clamped sector range and its
+        bitmask, and the home L2 bank's MSHR file, so the replay loop
+        does no partition/bank indexing.  Distinct accesses are
+        memoised in :attr:`_xlate`; repeated addresses (the common case
+        in the suite's strided kernels) cost one dict probe.
         """
         memo = self._xlate
         out = []
@@ -219,22 +227,26 @@ class MemoryPipeline:
                 partition = chunk % nparts
                 local_offset = ((chunk // nparts) * ilv
                                 + (line_addr & ilv_mask))
-                bank = l2[partition].bank_for(line_key)
-                cache = bank.cache
                 first = (addr % block) // sector_size
                 last = first + nsectors
                 if last > spb:
                     last = spb
                 n = last - first
-                set_idx = line_key % cache.num_sets
                 entry = (is_write, line_addr, line_key, partition,
-                         local_offset, bank, cache, first, last, n,
+                         local_offset, first, last,
                          ((1 << n) - 1) << first if n > 0 else 0,
-                         set_idx % SAMPLE_STRIDE == 0,
-                         cache._sets[set_idx], bank.mshr)
+                         l2[partition].bank_for(line_key).mshr)
                 memo[acc] = entry
             append(entry)
         return out
+
+    def replay(self, resolved: ResolvedL2) -> None:
+        """Take this run's L2 outcomes from ``resolved`` (a non-victim
+        run: see :class:`~repro.memory.l2.ResolvedL2`) instead of
+        walking the L2 banks' data caches."""
+        self._resolved = resolved
+        self._replayed = 0
+        self._evicted = iter(resolved.evicted)
 
     def run_batch(self, window: "CompletionWindow", accesses,
                   latency: "LatencyStats") -> None:
@@ -243,17 +255,29 @@ class MemoryPipeline:
 
         Semantically this is exactly ``for each access: window.issue()
         -> self.access(...) -> latency.record -> window.complete()``,
-        with the window state, the L2 fast paths and the latency
-        accumulators hoisted into locals; every float operation happens
-        in the same order as that per-access drive, so results are
-        bit-identical.  A read miss goes through :meth:`_read_miss`,
-        the helper :meth:`access` uses; store allocation drops into
-        :meth:`_store_alloc`.  An attached observer sees a stall span
-        whenever the full window delays an issue, then, per read, its
-        L2 lookup, its demand transfer and its latency.
+        with the window state and the latency accumulators hoisted into
+        locals; every float operation happens in the same order as that
+        per-access drive, so results are bit-identical.  When the
+        scheme parks no metadata in the L2, the L2's part of each
+        access is read from the outcome :meth:`replay` attached: what
+        was resident and which dirty line left, so only MSHR merges,
+        read misses (:meth:`_read_miss`, the helper :meth:`access`
+        uses) and write-backs run here.  In victim mode the batch takes
+        the live L2 loop, :meth:`_run_live`.  An attached observer sees
+        a stall span whenever the full window delays an issue, then,
+        per read, its L2 lookup, its demand transfer and its latency.
         """
         if not accesses:
             return
+        if self._victim_mode:
+            self._run_live(window, accesses, latency)
+            return
+        at = self._replayed
+        outcomes = self._resolved.outcomes[at:at + len(accesses)]
+        if len(outcomes) != len(accesses):
+            raise ValueError("the resolved L2 outcomes hold fewer accesses "
+                             "than the workload issues")
+        self._replayed = at + len(accesses)
         translated = self.translate_batch(accesses)
         # Window state (the event queue), hoisted.
         heap = window.inflight
@@ -266,9 +290,9 @@ class MemoryPipeline:
         heappop = heapq.heappop
         # Pipeline state, hoisted.
         hit_latency = L2_HIT_LATENCY
-        store_alloc = self._store_alloc
         writeback = self.writeback
         read_miss = self._read_miss
+        next_evicted = self._evicted.__next__
         observe = self._observe
         obs = self.obs
         latencies: List[float] = []
@@ -276,10 +300,9 @@ class MemoryPipeline:
         self.l2_stats.accesses += len(translated)
         issue = window.last_issue
 
-        for entry in translated:
+        for entry, outcome in zip(translated, outcomes):
             (is_write, line_addr, line_key, partition, local_offset,
-             bank, cache, first, last, n, range_mask, sampled, lines,
-             mshr) = entry
+             first, last, range_mask, mshr) = entry
             # -- issue: jump the clock to the next ready event --------
             prev_issue = issue
             issue = seq * gap
@@ -299,57 +322,47 @@ class MemoryPipeline:
                             start = prev_issue
                         if issue > start:
                             obs.stall(start, issue)
-            # -- L2 ---------------------------------------------------
+            # -- L2 (resolved) ----------------------------------------
             completion = issue + hit_latency
             if is_write:
-                if not cache.write_range_resident(line_key, first, last):
-                    completion = store_alloc(issue, line_key, bank, first,
-                                             last, completion)
+                # A store allocates without fetching; a displaced dirty
+                # line's write-back backpressures it.
+                if outcome & DIRTY_VICTIM:
+                    wb_done = writeback(issue, unpack_line(next_evicted()))
+                    if wb_done > completion:
+                        completion = wb_done
             else:
-                line = lines.get(line_key)
-                if (line is not None and range_mask
-                        and line.valid_mask & range_mask == range_mask):
-                    # Full hit: inlined from L2Bank.access_data_range's
-                    # all-resident outcome — same stats, sampling, LRU
-                    # motion and MSHR merges, no call layers.
-                    if sampled:
-                        bank.sampled_accesses += n
-                    cache.accesses += n
-                    cache.hits += n
-                    if next(reversed(lines)) is not line_key:
-                        del lines[line_key]
-                        lines[line_key] = line
-                    outstanding = mshr._outstanding
-                    if outstanding:
-                        merged_done = 0.0
-                        lookup = mshr.lookup
-                        for sector in range(first, last):
-                            sector_key = (line_key, sector)
-                            if sector_key in outstanding:
-                                merged = lookup(sector_key, issue)
-                                if (merged is not None
-                                        and merged > merged_done):
-                                    merged_done = merged
-                        if merged_done > completion:
-                            completion = merged_done
-                    if observe:
-                        obs.l2_access(issue, partition, False)
-                else:
-                    merged_done, fetch_sectors, eviction = \
-                        bank.access_data_range(line_key, first, last, issue)
-                    if merged_done > completion:
-                        completion = merged_done
-                    if observe:
-                        obs.l2_access(issue, partition,
-                                      fetch_sectors is not None)
-                    if fetch_sectors is not None:
-                        done = read_miss(issue, partition, line_addr,
-                                         line_key, local_offset,
-                                         fetch_sectors, mshr)
-                        if completion < done:
-                            completion = done
-                    if eviction is not None and eviction.dirty_sectors:
-                        writeback(issue, eviction)
+                # A sector with a fill in flight merges into it,
+                # resident or not (a line evicted and re-read before
+                # its fill returns); a missing one fetches.
+                missing = range_mask & ~outcome
+                outstanding = mshr._outstanding
+                fetch_sectors = None
+                merged_done = 0.0
+                for sector in range(first, last):
+                    sector_key = (line_key, sector)
+                    if sector_key in outstanding:
+                        merged = mshr.lookup(sector_key, issue)
+                        if merged is not None:
+                            if merged > merged_done:
+                                merged_done = merged
+                            continue
+                    if missing >> sector & 1:
+                        if fetch_sectors is None:
+                            fetch_sectors = [sector]
+                        else:
+                            fetch_sectors.append(sector)
+                if merged_done > completion:
+                    completion = merged_done
+                if observe:
+                    obs.l2_access(issue, partition, fetch_sectors is not None)
+                if fetch_sectors is not None:
+                    done = read_miss(issue, partition, line_addr, line_key,
+                                     local_offset, fetch_sectors, mshr)
+                    if completion < done:
+                        completion = done
+                if outcome & DIRTY_VICTIM:
+                    writeback(issue, unpack_line(next_evicted()))
                 record(completion - issue)
                 if observe:
                     obs.read_latency(issue, completion - issue)
@@ -364,33 +377,36 @@ class MemoryPipeline:
         window.last_completion = last_completion
         latency.record_batch(latencies)
 
-    def _store_alloc(self, issue: float, line_key: int, bank, first: int,
-                     last: int, completion: float) -> float:
-        """The batch core's store-allocate slow path: the line must be
-        allocated.  With the victim cache off, the displaced line's
-        write-back cannot touch any L2 data set, so the whole sector
-        loop collapses to one bulk allocate with at most one victim;
-        in victim mode the write-back can reshape this very set
-        between sector accesses, so the sequential per-sector loop of
-        :meth:`access` is kept."""
-        cache = bank.cache
-        if not self._victim_mode:
-            _, _, eviction = cache.access_range(
-                line_key, first, last, is_write=True, fetch_on_miss=False
-            )
-            if eviction is not None and eviction.dirty_sectors:
-                wb_done = self.writeback(issue, eviction)
-                if wb_done > completion:
-                    completion = wb_done
-            return completion
-        for sector in range(first, last):
-            result = cache.access(
-                line_key, sector, is_write=True, fetch_on_miss=False
-            )
-            if result.eviction is not None and result.eviction.dirty_sectors:
-                wb_done = self.writeback(issue, result.eviction)
-                completion = max(completion, wb_done)
-        return completion
+    def _run_live(self, window: "CompletionWindow", accesses,
+                  latency: "LatencyStats") -> None:
+        """:meth:`run_batch` in victim mode, where metadata parked in
+        the L2 changes what it holds: each access walks the live L2
+        banks through :meth:`access`, with the replay loop's stall and
+        read-latency observer calls."""
+        access = self.access
+        observe = self._observe
+        obs = self.obs
+        latencies: List[float] = []
+        record = latencies.append
+        for addr, is_write, nsectors in accesses:
+            prev_issue = window.last_issue
+            ready = window.seq * window.gap
+            issue = window.issue()
+            if observe and issue > ready:
+                # The replay loop's stall span, same float operations.
+                stall = issue - ready
+                start = issue - stall
+                if start < prev_issue:
+                    start = prev_issue
+                if issue > start:
+                    obs.stall(start, issue)
+            completion = access(issue, addr, is_write, nsectors)
+            if not is_write:
+                record(completion - issue)
+                if observe:
+                    obs.read_latency(issue, completion - issue)
+            window.complete(completion)
+        latency.record_batch(latencies)
 
     # ------------------------------------------------------------------
     # Write-back path
@@ -486,11 +502,23 @@ class MemoryPipeline:
         """Context teardown: dirty data leaves the L2 through the
         secure write path, dirty metadata drains to DRAM, and any
         writes a scheduler was still deferring are issued.  Returns the
-        completion cycle of the last teardown transfer (>= ``end``)."""
+        completion cycle of the last teardown transfer (>= ``end``).
+
+        A run that replayed its resolved L2 outcomes writes back the
+        resolved flush; its L2 data caches were never touched."""
         last = end
-        for partition in range(self.config.gpu.num_partitions):
-            for eviction in self.l2[partition].flush():
-                last = max(last, self.writeback(end, eviction))
+        if self._replayed:
+            resolved = self._resolved
+            if (self._replayed != len(resolved.outcomes)
+                    or next(self._evicted, None) is not None):
+                raise ValueError("the run issued fewer accesses than its "
+                                 "resolved L2 outcomes hold")
+            for packed in resolved.flush:
+                last = max(last, self.writeback(end, unpack_line(packed)))
+        else:
+            for partition in self.l2:
+                for line in partition.flush():
+                    last = max(last, self.writeback(end, line))
         for mee in self.mees:
             last = max(last, mee.flush(end))
         for channel in self.channels:

@@ -24,6 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.core.policies.registry import scheme_entry
+from repro.memory.l2 import ResolvedL2, resolve_l2
 from repro.memory.sched import demand_data_gpu
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -47,11 +48,16 @@ CALIBRATION_TOLERANCE = 0.06
 
 @dataclass
 class Calibration:
-    """Per-workload calibration artefacts."""
+    """Per-workload calibration artefacts: the calibrated window, the
+    ground-truth profile, the baseline run, and the workload's resolved
+    L2 outcomes (:func:`~repro.memory.l2.resolve_l2`), which every
+    calibration round and every scheme run that parks no metadata in
+    the L2 replays."""
 
     window: int
     profile: TraceProfile
     baseline: RunResult
+    resolved: ResolvedL2
 
 
 def calibration_key(config: SimConfig) -> tuple:
@@ -64,7 +70,9 @@ def calibration_key(config: SimConfig) -> tuple:
     detector capacities) reaches it, so at equal scale runners whose
     configs have equal keys calibrate every workload identically and
     may share their calibrations.  :meth:`Runner._calibrate` records
-    from this key alone, which keeps the two in step.
+    from this key alone, which keeps the two in step.  The GPU model
+    holds the L2 geometry, so the resolved L2 outcomes a calibration
+    carries hold for every run of a runner with an equal key.
     """
     detectors = config.scheme.detectors
     return (demand_data_gpu(config.gpu), detectors.readonly_region_size,
@@ -151,7 +159,7 @@ class Runner:
                            observer=self.observer,
                            ledger=self.ledger)
         return sim.run(self.workload(name), gap=GAP_EPSILON,
-                       max_inflight=calib.window)
+                       max_inflight=calib.window, resolved=calib.resolved)
 
     def clear_results(self) -> None:
         """Drop cached (workload, scheme) runs while keeping the
@@ -178,11 +186,13 @@ class Runner:
 
         The runs use only what :func:`calibration_key` holds: its GPU
         model under the unprotected scheme, and its detector geometry
-        for the profile.
+        for the profile.  The workload's L2 outcomes are resolved once,
+        first, and every round replays them.
         """
         target = workload.bandwidth_utilization
         gpu, region_size, chunk_size = calibration_key(self.config)
         recording_config = SimConfig(gpu=gpu).with_scheme(Scheme.UNPROTECTED)
+        resolved = resolve_l2(workload, gpu)
 
         observe = self.observer.enabled
         window = INITIAL_WINDOW
@@ -191,7 +201,7 @@ class Runner:
         for round_idx in range(CALIBRATION_ROUNDS):
             recorder = GPUSimulator(recording_config, record_stream=True)
             baseline = recorder.run(workload, gap=GAP_EPSILON,
-                                    max_inflight=window)
+                                    max_inflight=window, resolved=resolved)
             measured = baseline.dram_utilization
             if observe:
                 self.observer.calibration_round(
@@ -212,7 +222,7 @@ class Runner:
             # The rounds ran out on a window no round has simulated.
             recorder = GPUSimulator(recording_config, record_stream=True)
             baseline = recorder.run(workload, gap=GAP_EPSILON,
-                                    max_inflight=window)
+                                    max_inflight=window, resolved=resolved)
         if observe:
             self.observer.calibration_round(
                 workload.name, CALIBRATION_ROUNDS, window,
@@ -221,4 +231,5 @@ class Runner:
         profile = TraceProfile(
             region_size=region_size, chunk_size=chunk_size,
         ).ingest(recorder.streams)
-        return Calibration(window=window, profile=profile, baseline=baseline)
+        return Calibration(window=window, profile=profile, baseline=baseline,
+                           resolved=resolved)

@@ -1,7 +1,8 @@
 """``repro bench BASE``: pairing order, verdict rules, failed runs,
-materialising a revision, and the command line.  No perfbench pass
-runs here: every pairing test hands :mod:`repro.perf.ab` a fake
-``run(tree, workload)`` that returns canned metrics."""
+materialising a revision (and removing it again), and the command
+line.  No perfbench pass runs here: every pairing test hands
+:mod:`repro.perf.ab` a fake ``run(tree, workload)`` that returns canned
+metrics."""
 
 import json
 import subprocess
@@ -205,25 +206,46 @@ class TestMaterialise:
     def test_extracts_the_revision_and_leaves_the_checkout(self, repo):
         head = git(repo, "rev-parse", "HEAD")
         status = git(repo, "status", "--porcelain")
-        tree = ab.materialise("HEAD^", repo)
-        assert tree == (repo / ".perfbench" / "ab"
-                        / git(repo, "rev-parse", "HEAD^").strip())
-        assert (tree / "a.txt").read_text() == "first\n"
-        assert not (tree / "b.txt").exists()
+        with ab.materialise("HEAD^", repo) as tree:
+            assert tree.name == git(repo, "rev-parse", "HEAD^").strip()
+            assert tree.parent.parent == repo / ".perfbench" / "ab"
+            assert (tree / "a.txt").read_text() == "first\n"
+            assert not (tree / "b.txt").exists()
+        assert not tree.exists()
         assert git(repo, "rev-parse", "HEAD") == head
         assert git(repo, "status", "--porcelain") == status
         assert (repo / "a.txt").read_text() == "second\n"
 
-    def test_second_call_reuses_the_tree(self, repo):
-        tree = ab.materialise("HEAD^", repo)
-        (tree / "marker").write_text("kept\n")
-        assert ab.materialise("HEAD~1", repo) == tree
-        assert (tree / "marker").read_text() == "kept\n"
-        assert [p.name for p in tree.parent.iterdir()] == [tree.name]
+    @pytest.mark.parametrize("outcome", ["return", "RunFailed",
+                                         "KeyboardInterrupt"])
+    def test_bench_leaves_no_tree_behind(self, repo, monkeypatch, outcome):
+        """``bench`` extracts BASE into a fresh directory per call and
+        removes it whether the pairs return, fail or are interrupted."""
+        seen = []
+
+        def run_ab(trees, workloads):
+            seen.append((trees["base"] / "a.txt").read_text())
+            if outcome == "RunFailed":
+                raise ab.RunFailed("boom")
+            if outcome == "KeyboardInterrupt":
+                raise KeyboardInterrupt
+            return 0
+
+        monkeypatch.setattr(ab, "ROOT", repo)
+        monkeypatch.setattr(ab, "run_ab", run_ab)
+        if outcome == "return":
+            assert ab.bench("HEAD^", ["w"]) == 0
+        else:
+            with pytest.raises((ab.RunFailed, KeyboardInterrupt)):
+                ab.bench("HEAD^", ["w"])
+        assert seen == ["first\n"]
+        assert list((repo / ".perfbench" / "ab").iterdir()) == []
 
     def test_unknown_revision(self, repo):
         with pytest.raises(ValueError, match="unknown revision 'nope'"):
-            ab.materialise("nope", repo)
+            with ab.materialise("nope", repo):
+                pass
+        assert not (repo / ".perfbench").exists()
 
 
 class TestCommandLine:

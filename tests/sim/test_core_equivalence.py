@@ -1,14 +1,16 @@
 """Bit-identity of the batch loop and the per-access reference drive.
 
-:meth:`MemoryPipeline.run_batch` fuses the window, the L2 hit path and
-the latency accumulators of a per-access loop over
-:meth:`MemoryPipeline.access`.  The two must be *indistinguishable* in
-results — every serialised field byte-equal — across the scheme zoo
-and across workload shapes the batch boundary cares about: multi-
-kernel suites, composed suites whose ``barrier: false`` phases merge
-into one kernel batch, and kernels with zero accesses (an empty batch
-must advance kernel bookkeeping without issuing anything).  The
-reference side runs under the ``reference_drive`` fixture.
+:meth:`MemoryPipeline.run_batch` fuses the window and the latency
+accumulators of a per-access loop over :meth:`MemoryPipeline.access`;
+for a scheme that parks no metadata in the L2 it also replays the
+workload's resolved L2 outcomes, while the reference walks the live
+L2.  The two must be *indistinguishable* in results — every serialised
+field byte-equal — across the scheme zoo and across workload shapes
+the batch boundary cares about: multi-kernel suites, composed suites
+whose ``barrier: false`` phases merge into one kernel batch, and
+kernels with zero accesses (an empty batch must advance kernel
+bookkeeping without issuing anything).  The reference side runs under
+the ``reference_drive`` fixture, and reads no resolved outcome.
 """
 
 from __future__ import annotations
@@ -102,6 +104,33 @@ def test_cores_agree_on_zero_access_kernels(scheme, reference_drive):
     batch, reference = _both_drives(reference_drive,
                                     _zero_access_workload(), scheme)
     assert batch == reference
+
+
+@pytest.mark.parametrize("scheme,replayed", [("shm", True),
+                                             ("shm_vl2", False)])
+def test_only_the_reference_walks_a_non_victim_l2(scheme, replayed,
+                                                  reference_drive):
+    """A plain non-victim run replays its resolved L2 outcomes and
+    leaves the L2 data caches untouched; the reference drive walks
+    them, so the comparisons above set the replay against the live
+    L2, not against itself.  Victim mode walks them on both sides."""
+    from repro.common.config import SimConfig
+    from repro.sim.gpu import GPUSimulator
+
+    workload = Runner(scale=SCALE).workload("atax")
+
+    def run():
+        sim = GPUSimulator(SimConfig().with_scheme(scheme))
+        result = serialize_run_result(sim.run(workload, max_inflight=256))
+        return result, sum(bank.cache.accesses for part in sim.l2
+                           for bank in part.banks)
+
+    plain, plain_walks = run()
+    with reference_drive():
+        reference, reference_walks = run()
+    assert plain == reference
+    assert reference_walks > 0
+    assert (plain_walks == 0) is replayed
 
 
 def test_zero_access_kernels_run_to_completion():
