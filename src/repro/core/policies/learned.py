@@ -35,13 +35,13 @@ whole stack (SimConfig / Runner / campaign / CLI):
 Determinism: all arithmetic is plain int/float, exploration is seeded
 by ``zlib.crc32`` over ``(partition, region, epoch)`` — no ``random``
 module state, no ``hash()`` — so learned-scheme runs are byte-identical
-between serial and pool campaigns and under any ``PYTHONHASHSEED``
+in-process and in pool workers and under any ``PYTHONHASHSEED``
 (pinned by the determinism suite).
 
-The taps are the same shared decision sites the ledger uses, and the
-exact-type fusion check in
-:class:`~repro.core.mee.MemoryEncryptionEngine` routes learned
-subclasses onto the generic (shared) policy path.
+The taps are the same shared decision sites the ledger uses, and
+:class:`~repro.core.mee.MemoryEncryptionEngine` calls a learned policy
+through the same bound ``access`` entry points as any other policy
+(``build_policies`` composes the stack; there is no per-type path).
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ with identical numbers:
 * serially, :func:`run_experiment` (``repro figure``, the benches):
   the matrix on one shared :class:`repro.sim.runner.Runner`;
 * through :func:`repro.eval.campaign.run_campaign` (``repro
-  campaign``, and ``repro reproduce`` as one serial campaign):
-  deduplicated across experiments, on a worker pool or in-process,
-  resumable from the result store.
+  campaign``, and ``repro reproduce`` as one in-process campaign):
+  deduplicated across experiments, each cell through the pool's
+  worker entry point, on a worker pool or in-process, resumable from
+  the result store.
 
 Units throughout: normalised IPC is relative to the calibrated
 unprotected baseline (1.0 = no slowdown; Fig. 12's metric), bandwidth

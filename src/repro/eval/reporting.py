@@ -74,47 +74,6 @@ def summarize_averages(result: ExperimentResult, percent: bool = True) -> Dict[s
     return out
 
 
-def format_prediction_accuracy(results, title: Optional[str] = None) -> str:
-    """Suite-level detector accuracy from a list of :class:`RunResult`s.
-
-    Folds each run's per-detector :class:`PredictionStats` into one
-    aggregate per detector with :meth:`PredictionStats.merge` (the same
-    accumulation the simulator uses across MEE partitions), then
-    renders the Figs. 10/11 breakdown alongside per-workload accuracy.
-    """
-    from repro.common.types import PredictionStats
-
-    detectors = (("read-only", "readonly_stats"),
-                 ("streaming", "streaming_stats"))
-    suite = {label: PredictionStats() for label, _ in detectors}
-    name_width = max([len("workload"), len("suite total")]
-                     + [len(r.workload) for r in results])
-    header = ("workload".ljust(name_width) + "  "
-              + "  ".join(label.rjust(10) for label, _ in detectors))
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(header))
-    lines.append(header)
-    lines.append("-" * len(header))
-    for result in results:
-        row = [result.workload.ljust(name_width)]
-        for label, attr in detectors:
-            stats = getattr(result, attr)
-            suite[label].merge(stats)
-            cell = f"{stats.accuracy:.1%}" if stats.total else "-"
-            row.append(cell.rjust(10))
-        lines.append("  ".join(row))
-    lines.append("-" * len(header))
-    total_row = ["suite total".ljust(name_width)]
-    for label, _ in detectors:
-        agg = suite[label]
-        cell = f"{agg.accuracy:.1%}" if agg.total else "-"
-        total_row.append(cell.rjust(10))
-    lines.append("  ".join(total_row))
-    return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # Campaign manifests (``repro campaign`` output, ``campaign_format: 1``)
 # ----------------------------------------------------------------------

@@ -156,11 +156,6 @@ class L2Bank:
                         fetch_sectors.append(sector)
         return merged_done, fetch_sectors, eviction
 
-    def register_fill(self, line_key: int, sector: int, done: float, now: float) -> float:
-        """Record an issued fill in the MSHR file; returns the (possibly
-        stalled) issue time."""
-        return self.mshr.allocate((line_key, sector), done, now)
-
     # -- Victim-cache path -----------------------------------------------------------
 
     def victim_probe(self, key: Hashable, sector: int) -> bool:

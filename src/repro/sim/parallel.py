@@ -14,7 +14,9 @@ jobs instead of aborting the sweep).
 Failures never raise out of :func:`execute_jobs`: every job ends in a
 :class:`JobOutcome` whose ``status`` is ``"ok"`` or ``"failed"`` and
 whose ``error`` carries the worker's traceback, so a single bad cell
-degrades one data point rather than the whole campaign.
+degrades one data point rather than the whole campaign.  An interrupt
+is not a failure: a ``KeyboardInterrupt`` or ``SystemExit`` raised in
+a job propagates.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ def _call(worker: Callable[[Any], Any], payload: Any,
           timeout: Optional[float] = None) -> Tuple[str, Any, float]:
     """Run ``worker(payload)`` under an optional ``SIGALRM`` budget.
 
-    Always returns a ``(status, value_or_traceback, seconds)`` tuple —
-    worker exceptions are serialised as tracebacks rather than raised,
-    so the only way a future can *raise* in the parent is process
-    death (``BrokenProcessPool``).
+    Returns a ``(status, value_or_traceback, seconds)`` tuple — worker
+    exceptions are serialised as tracebacks rather than raised, so a
+    future raises in the parent only on process death
+    (``BrokenProcessPool``) or when the worker was interrupted: a
+    ``KeyboardInterrupt`` or ``SystemExit`` is not caught here, so it
+    propagates in-process and, through the future, from a pool.
     """
     start = time.monotonic()
     use_alarm = (timeout is not None and timeout > 0
@@ -83,7 +87,7 @@ def _call(worker: Callable[[Any], Any], payload: Any,
         return "ok", value, time.monotonic() - start
     except JobTimeout as exc:
         return "timeout", str(exc), time.monotonic() - start
-    except BaseException:
+    except Exception:
         return "err", traceback.format_exc(), time.monotonic() - start
     finally:
         if use_alarm:
@@ -103,10 +107,9 @@ def execute_jobs(
 ) -> List[JobOutcome]:
     """Run ``worker(payload)`` for every payload on a process pool.
 
-    ``jobs == 1`` runs everything in-process (no pool, no pickling),
-    which the tests and ``repro campaign --jobs 1`` use; ``repro
-    campaign --serial`` never comes here (``run_campaign(serial=True)``
-    runs its cells through ``_SerialEvaluator``).  ``timeout``
+    ``jobs == 1`` runs everything in-process (no pool, no pickling):
+    that is how ``run_campaign(jobs=1)`` — ``repro campaign --jobs 1``
+    and ``repro reproduce`` — runs its cells.  ``timeout``
     bounds each job's wall-clock seconds; a timed-out or crashed job
     is retried up to ``retries`` extra attempts with ``backoff *
     attempt`` seconds between waves, then recorded as failed.
@@ -118,7 +121,9 @@ def execute_jobs(
     retry reasons from it.
 
     Returns one :class:`JobOutcome` per payload, in payload order.
-    Never raises for job failures; see :class:`JobOutcome`.
+    Never raises for job failures; see :class:`JobOutcome`.  A job's
+    ``KeyboardInterrupt`` or ``SystemExit`` is not retried: it ends the
+    call.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

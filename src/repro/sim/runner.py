@@ -161,12 +161,6 @@ class Runner:
         return sim.run(self.workload(name), gap=GAP_EPSILON,
                        max_inflight=calib.window, resolved=calib.resolved)
 
-    def clear_results(self) -> None:
-        """Drop cached (workload, scheme) runs while keeping the
-        calibration artefacts — benchmarking wants every run
-        re-simulated, not served as a deep copy."""
-        self._results.clear()
-
     def normalized_ipc(self, name: str, scheme: Scheme) -> float:
         return self.run(name, scheme).normalized_ipc(self.baseline(name))
 

@@ -255,7 +255,7 @@ class TestCampaignCLI:
     def test_inspect_renders_manifest(self, tmp_path, capsys):
         from repro.eval.campaign import SMOKE_SPEC, run_campaign
 
-        report = run_campaign(["smoke"], scale=0.05, serial=True,
+        report = run_campaign(["smoke"], scale=0.05, jobs=1,
                               workloads=["atax"],
                               specs={"smoke": SMOKE_SPEC})
         path = tmp_path / "manifest.json"
@@ -268,7 +268,7 @@ class TestCampaignCLI:
     def test_inspect_cells_flag_lists_cells(self, tmp_path, capsys):
         from repro.eval.campaign import SMOKE_SPEC, run_campaign
 
-        report = run_campaign(["smoke"], scale=0.05, serial=True,
+        report = run_campaign(["smoke"], scale=0.05, jobs=1,
                               workloads=["atax"],
                               specs={"smoke": SMOKE_SPEC})
         path = tmp_path / "manifest.json"
@@ -280,12 +280,12 @@ class TestCampaignCLI:
 
 @pytest.fixture(scope="class")
 def smoke_manifests(tmp_path_factory):
-    """Serial and pool manifests of the smoke campaign on atax."""
+    """In-process and pool manifests of the smoke campaign on atax."""
     from repro.eval.campaign import SMOKE_SPEC, run_campaign
 
     root = tmp_path_factory.mktemp("manifests")
     paths = {}
-    for mode, kwargs in (("serial", {"serial": True}), ("pool", {"jobs": 2})):
+    for mode, kwargs in (("in-process", {"jobs": 1}), ("pool", {"jobs": 2})):
         report = run_campaign(["smoke"], scale=0.05, workloads=["atax"],
                               specs={"smoke": SMOKE_SPEC}, **kwargs)
         assert report.totals["failed"] == 0
@@ -302,9 +302,10 @@ class TestDiffVerb:
         out.write_text(json.dumps(manifest))
         return out
 
-    def test_serial_and_pool_show_only_zero_deltas(self, smoke_manifests,
-                                                   capsys):
-        assert main(["diff", str(smoke_manifests["serial"]),
+    def test_in_process_and_pool_show_only_zero_deltas(self,
+                                                       smoke_manifests,
+                                                       capsys):
+        assert main(["diff", str(smoke_manifests["in-process"]),
                      str(smoke_manifests["pool"]), "--threshold", "0"]) == 0
         out = capsys.readouterr().out
         assert "smoke/shm/atax" in out and "smoke/pssm/atax" in out
@@ -317,7 +318,7 @@ class TestDiffVerb:
             manifest["experiments"]["smoke"]["series"]["shm"]["atax"] += 0.01
 
         new = self._edited(smoke_manifests["pool"], tmp_path, perturb)
-        assert main(["diff", str(smoke_manifests["serial"]), str(new),
+        assert main(["diff", str(smoke_manifests["in-process"]), str(new),
                      "--threshold", "0.001"]) == 3
         flagged = [line for line in capsys.readouterr().out.splitlines()
                    if line.endswith(" *")]
@@ -328,7 +329,7 @@ class TestDiffVerb:
         def strip(manifest):
             del manifest["experiments"]["smoke"]["series"]
 
-        old = self._edited(smoke_manifests["serial"], tmp_path, strip)
+        old = self._edited(smoke_manifests["in-process"], tmp_path, strip)
         with pytest.raises(SystemExit) as exc:
             main(["diff", str(old), str(smoke_manifests["pool"])])
         assert "'series'" in str(exc.value) and str(old) in str(exc.value)
@@ -340,7 +341,7 @@ class TestDiffVerb:
             experiments["other"] = experiments.pop("smoke")
 
         new = self._edited(smoke_manifests["pool"], tmp_path, rename)
-        assert main(["diff", str(smoke_manifests["serial"]),
+        assert main(["diff", str(smoke_manifests["in-process"]),
                      str(new)]) == 1
         assert "no comparable values" in capsys.readouterr().out
 

@@ -128,22 +128,26 @@ class TestChunkSizeAblation:
         assert record.result.cycles == reference.cycles
 
     def test_pool_and_serial_agree(self):
+        from repro.common.config import SimConfig
         from repro.eval.campaign import run_campaign
         from repro.eval.results_io import serialize_run_result
+        from repro.sim.runner import Runner
 
-        specs = {"ablation_chunk_size": self._spec()}
+        spec = self._spec()
 
-        def cells(**mode):
-            report = run_campaign(["ablation_chunk_size"], scale=self.SCALE,
-                                  specs=specs, **mode)
-            assert report.totals["failed"] == 0
+        def cells(records):
+            assert all(rec.ok for rec in records)
             return {rec.job.series: (serialize_run_result(rec.result),
                                      serialize_run_result(rec.baseline))
-                    for rec in report.records["ablation_chunk_size"]}
+                    for rec in records}
 
-        serial = cells(serial=True)
+        serial = cells(run_cells_serial(
+            Runner(scale=self.SCALE),
+            spec.jobs(None, SimConfig(), self.SCALE), strict=False))
         assert set(serial) == {"chunk_4kb", "chunk_8kb"}
-        assert cells(jobs=1) == serial
+        report = run_campaign(["ablation_chunk_size"], scale=self.SCALE,
+                              jobs=1, specs={"ablation_chunk_size": spec})
+        assert cells(report.records["ablation_chunk_size"]) == serial
 
 
 class TestBandwidthSensitivityAblation:

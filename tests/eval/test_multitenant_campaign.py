@@ -126,15 +126,18 @@ class TestExecution:
         jobs_fn = lambda w, c, s: [job for job in _multitenant_jobs(w, c, s)
                                    if job.workload == "mt2"]
         import dataclasses
+
+        from repro.sim.runner import Runner
+
         small = dataclasses.replace(spec, jobs=jobs_fn)
-        specs = {spec.name: small}
-        serial = run_campaign([spec.name], scale=SCALE, serial=True,
-                              specs=specs)
+        serial = run_cells_serial(Runner(scale=SCALE),
+                                  jobs_fn(None, SimConfig(), SCALE),
+                                  strict=False)
         pooled = run_campaign([spec.name], scale=SCALE, jobs=2,
-                              specs=specs)
-        assert serial.results[spec.name].series == \
+                              specs={spec.name: small})
+        assert all(rec.ok for rec in serial) and not pooled.failed_cells
+        assert small.aggregate(serial).series == \
             pooled.results[spec.name].series
-        assert not serial.failed_cells and not pooled.failed_cells
 
     def test_store_resume_serves_composed_cells(self, tmp_path):
         spec = EXPERIMENTS["suite_phase_churn"]
@@ -142,7 +145,7 @@ class TestExecution:
                                    if job.workload == "mt4_churn50"]
         import dataclasses
         specs = {spec.name: dataclasses.replace(spec, jobs=jobs_fn)}
-        kwargs = dict(scale=SCALE, serial=True, specs=specs,
+        kwargs = dict(scale=SCALE, jobs=1, specs=specs,
                       store_dir=tmp_path / "store")
         first = run_campaign([spec.name], **kwargs)
         second = run_campaign([spec.name], **kwargs)

@@ -169,8 +169,8 @@ def test_l2_access_data_range_matches_sequential_reference(seed):
         if fetch_sectors:
             done = now + rng.randrange(50, 200)
             for sector in fetch_sectors:
-                fast.register_fill(key, sector, done, now)
-                ref.register_fill(key, sector, done, now)
+                fast.mshr.allocate((key, sector), done, now)
+                ref.mshr.allocate((key, sector), done, now)
         assert _bank_state(fast) == _bank_state(ref)
 
 

@@ -118,15 +118,15 @@ def stable_manifest(manifest):
 
 
 class TestManifestDeterminism:
-    def test_serial_and_pool_manifests_agree(self):
+    def test_in_process_and_pool_manifests_agree(self):
         from repro.eval.campaign import run_campaign
 
-        serial, pool = (
+        in_process, pool = (
             run_campaign(["det"], scale=SCALE, specs=_profile_specs(),
-                         **mode).manifest
-            for mode in ({"serial": True}, {"jobs": 2}))
+                         jobs=jobs).manifest
+            for jobs in (1, 2))
         assert pool["jobs"] == 2
-        assert stable_manifest(serial) == stable_manifest(pool)
+        assert stable_manifest(in_process) == stable_manifest(pool)
         assert set(pool["experiments"]["det"]["series"]["p"]) == {
             "atax", "mvt"}
 

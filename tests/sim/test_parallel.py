@@ -93,3 +93,16 @@ class TestExecuteJobs:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             execute_jobs(_square, [1], jobs=0)
+
+    def test_in_process_interrupt_propagates(self):
+        """Ctrl-C in an in-process job ends the call: it is neither a
+        failed attempt nor retried."""
+        calls = []
+
+        def interrupted(payload):
+            calls.append(payload)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            execute_jobs(interrupted, [1, 2], jobs=1, retries=1)
+        assert calls == [1]
