@@ -135,6 +135,12 @@ class GPUConfig:
     max_inflight_requests: int = 3072
     interleave_bytes: int = 256
 
+    def __post_init__(self) -> None:
+        for name in ("l2_mshr_entries", "l2_mshr_merge"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+
     @property
     def total_l2_bytes(self) -> int:
         return self.num_partitions * self.l2_banks_per_partition * self.l2_bank_size

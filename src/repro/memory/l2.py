@@ -70,13 +70,12 @@ class L2Bank:
         if sampled:
             self.sampled_accesses += 1
 
-        sector_key = (line_key, sector)
         result = self.cache.access(line_key, sector, is_write=is_write)
         if result.hit:
             # The sector may still be in flight (the cache marks it
             # resident when the fill is *issued*); a hit then completes
             # when the outstanding fill returns.
-            merged = self.mshr.lookup(sector_key, now)
+            merged = self.mshr.lookup(line_key, sector, now)
             return L2AccessResult(
                 hit=True,
                 merged_done=merged,
@@ -87,7 +86,7 @@ class L2Bank:
 
         if sampled:
             self.sampled_misses += 1
-        merged = self.mshr.lookup(sector_key, now)
+        merged = self.mshr.lookup(line_key, sector, now)
         if merged is not None:
             return L2AccessResult(
                 hit=False,
@@ -106,55 +105,28 @@ class L2Bank:
 
     def access_data_range(
         self, line_key: int, first: int, last: int, now: float
-    ) -> "Tuple[float, Optional[List[int]], Optional[Eviction]]":
+    ) -> "Tuple[float, int, Optional[Eviction]]":
         """Bulk form of per-sector :meth:`access_data` calls for one
         read request's sectors ``[first, last)``.
 
         Produces the same cache statistics, sampling counters, MSHR
         merges and eviction as the equivalent ascending per-sector
-        loop, without allocating an :class:`L2AccessResult` (or any
-        list) per sector.  Returns ``(merged_done, fetch_sectors,
-        eviction)``: the latest in-flight fill this access merged into
-        (0.0 when none), the sectors that need a fresh DRAM fetch
-        (None when none), and the displaced victim line (None when the
-        line was resident or the set had room).
+        loop, without allocating an :class:`L2AccessResult` per sector.
+        Returns ``(merged_done, fetch_mask, eviction)``: the latest
+        in-flight fill this access merged into (0.0 when none), the
+        mask of the sectors that need a fresh DRAM fetch (0 when none),
+        and the displaced victim line (None when the line was resident
+        or the set had room).
         """
-        cache = self.cache
         n = last - first
-        sampled = (line_key % cache.num_sets) % SAMPLE_STRIDE == 0
-        if sampled:
+        hit_mask, _, eviction = self.cache.access_range(line_key, first, last)
+        missing = (((1 << n) - 1) << first) & ~hit_mask
+        if (line_key % self.cache.num_sets) % SAMPLE_STRIDE == 0:
             self.sampled_accesses += n
-        hit_mask, _, eviction = cache.access_range(line_key, first, last)
-        if sampled:
-            all_mask = ((1 << n) - 1) << first
-            missed = all_mask & ~hit_mask
-            self.sampled_misses += bin(missed).count("1")
-
-        merged_done = 0.0
-        fetch_sectors: Optional[List[int]] = None
-        outstanding = self.mshr._outstanding
-        if outstanding:
-            mshr = self.mshr
-            for sector in range(first, last):
-                sector_key = (line_key, sector)
-                merged = (mshr.lookup(sector_key, now)
-                          if sector_key in outstanding else None)
-                if merged is not None:
-                    if merged > merged_done:
-                        merged_done = merged
-                elif not hit_mask & (1 << sector):
-                    if fetch_sectors is None:
-                        fetch_sectors = [sector]
-                    else:
-                        fetch_sectors.append(sector)
-        else:
-            for sector in range(first, last):
-                if not hit_mask & (1 << sector):
-                    if fetch_sectors is None:
-                        fetch_sectors = [sector]
-                    else:
-                        fetch_sectors.append(sector)
-        return merged_done, fetch_sectors, eviction
+            self.sampled_misses += bin(missing).count("1")
+        merged_done, fetch_mask = self.mshr.merge_read(
+            line_key, first, last, missing, now)
+        return merged_done, fetch_mask, eviction
 
     # -- Victim-cache path -----------------------------------------------------------
 
@@ -265,7 +237,7 @@ class ResolvedL2:
     :func:`resolve_l2` computes these outcomes once per workload and
     :class:`~repro.sim.pipeline.MemoryPipeline` replays them in every
     run that parks no metadata in the L2.  Dirty lines are packed as
-    ``line_key << 3 | dirty_sectors`` (see :func:`unpack_line`).
+    ``line_key << 3 | dirty_sectors``.
     """
 
     #: One byte per access, in issue order across kernels: its
@@ -276,13 +248,6 @@ class ResolvedL2:
     evicted: array
     #: The dirty lines left at the end of the run, in flush order.
     flush: array
-
-
-def unpack_line(packed: int) -> Eviction:
-    """The write-back obligation of one packed dirty line."""
-    dirty = packed & 7
-    return Eviction(key=packed >> 3, dirty_sectors=dirty,
-                    valid_sectors=dirty)
 
 
 def resolve_l2(workload, gpu: GPUConfig) -> ResolvedL2:

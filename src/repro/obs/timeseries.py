@@ -156,9 +156,12 @@ class WindowedSeries:
             )
             busy = acc["dram_busy"]
             row["dram_utilization"] = [min(1.0, b / w) for b in busy]
-            row["dram_utilization_mean"] = (
-                sum(row["dram_utilization"]) / len(busy) if busy else 0.0
-            )
+            # Summed left to right: sum() rounds differently since
+            # Python 3.12 (see repro.sim.stats.mean).
+            total = 0.0
+            for utilization in row["dram_utilization"]:
+                total += utilization
+            row["dram_utilization_mean"] = total / len(busy) if busy else 0.0
             rows.append(row)
         return rows
 

@@ -33,7 +33,7 @@ from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.sim.events import CompletionWindow
 from repro.sim.pipeline import L2_HIT_LATENCY, MemoryPipeline
-from repro.sim.stats import LatencyStats, RunResult
+from repro.sim.stats import LatencyStats, RunResult, mean
 from repro.workloads.base import HostEvent, Workload
 
 __all__ = ["GPUSimulator", "L2_HIT_LATENCY"]
@@ -231,10 +231,7 @@ class GPUSimulator:
         victim_insertions = sum(
             bank.victim_insertions for part in self.l2 for bank in part.banks
         )
-        utilization = (
-            sum(ch.utilization(cycles) for ch in self.channels)
-            / len(self.channels)
-        )
+        utilization = mean(ch.utilization(cycles) for ch in self.channels)
         return RunResult(
             workload=workload.name,
             scheme=self.scheme.scheme,

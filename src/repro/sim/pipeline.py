@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterator, List,
+                    Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.mshr import MSHRFile
@@ -29,10 +30,9 @@ from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.common.types import TrafficCounters
 from repro.core.mee import MemoryEncryptionEngine
-from repro.memory.cache import Eviction
 from repro.memory.dram import DRAMChannel
-from repro.memory.l2 import (DIRTY_VICTIM, PartitionL2, ResolvedL2,
-                             unpack_line)
+from repro.memory.l2 import DIRTY_VICTIM, PartitionL2, ResolvedL2
+from repro.memory.mshr import MASK_SECTORS
 from repro.obs.observer import NULL_OBSERVER
 from repro.sim.stats import L2Stats
 
@@ -135,32 +135,35 @@ class MemoryPipeline:
                     result = bank.cache.access(
                         line_key, sector, is_write=True, fetch_on_miss=False
                     )
-                    if result.eviction is not None and result.eviction.dirty_sectors:
-                        wb_done = self.writeback(issue, result.eviction)
+                    eviction = result.eviction
+                    if eviction is not None and eviction.dirty_sectors:
+                        wb_done = self.writeback(issue, eviction.key,
+                                                 eviction.dirty_sectors)
                         completion = max(completion, wb_done)
             return completion
 
-        merged_done, fetch_sectors, eviction = bank.access_data_range(
+        merged_done, fetch_mask, eviction = bank.access_data_range(
             line_key, first_sector, last_sector, issue
         )
         if merged_done > completion:
             completion = merged_done
         if self._observe:
-            self.obs.l2_access(issue, partition, fetch_sectors is not None)
-        if fetch_sectors is not None:
+            self.obs.l2_access(issue, partition, fetch_mask != 0)
+        if fetch_mask:
             done = self._read_miss(issue, partition, line_addr, line_key,
-                                   local.offset, fetch_sectors, bank.mshr)
+                                   local.offset, fetch_mask, bank.mshr)
             completion = max(completion, done)
         if eviction is not None and eviction.dirty_sectors:
-            self.writeback(issue, eviction)
+            self.writeback(issue, eviction.key, eviction.dirty_sectors)
         return completion
 
     def _read_miss(self, issue: float, partition: int, line_addr: int,
-                   line_key: int, local_offset: int,
-                   fetch_sectors: List[int], mshr: "MSHRFile") -> float:
+                   line_key: int, local_offset: int, fetch_mask: int,
+                   mshr: "MSHRFile") -> float:
         """One L2 read miss (both :meth:`access` and :meth:`run_batch`):
-        the MEE metadata walk, the demand DRAM fetch and the MSHR fill
-        burst.  Returns the cycle the decrypted data is ready."""
+        the MEE metadata walk, the demand DRAM fetch of the sectors in
+        ``fetch_mask`` and the MSHR fill burst.  Returns the cycle the
+        decrypted data is ready."""
         self.l2_stats.misses += 1
         ctr_done = 0.0
         if self.mees:
@@ -169,17 +172,18 @@ class MemoryPipeline:
             if mee.displaced:
                 # Victim insertions of the walk displaced dirty data
                 # lines from the L2; they leave by the secure write path.
-                for line in _take_displaced(mee):
-                    self.writeback(issue, line)
+                for key, dirty_sectors in _take_displaced(mee):
+                    self.writeback(issue, key, dirty_sectors)
             if ctr_done:
                 # Pad generation (AES) starts when the counter arrives;
                 # decryption cannot complete before it.
                 ctr_done += self._hash_latency
+        sectors = MASK_SECTORS[fetch_mask]
         data_done = self.schedule(issue, partition,
-                                  len(fetch_sectors) * constants.SECTOR_SIZE,
+                                  len(sectors) * constants.SECTOR_SIZE,
                                   False, line_addr)
         done = data_done if data_done >= ctr_done else ctr_done
-        mshr.allocate_burst(line_key, fetch_sectors, done, issue)
+        mshr.allocate_burst(line_key, sectors, done, issue)
         if self.record_stream:
             self.streams[partition].append(
                 (local_offset, False, self.kernel_idx)
@@ -328,41 +332,31 @@ class MemoryPipeline:
                 # A store allocates without fetching; a displaced dirty
                 # line's write-back backpressures it.
                 if outcome & DIRTY_VICTIM:
-                    wb_done = writeback(issue, unpack_line(next_evicted()))
+                    packed = next_evicted()
+                    wb_done = writeback(issue, packed >> 3, packed & 7)
                     if wb_done > completion:
                         completion = wb_done
             else:
                 # A sector with a fill in flight merges into it,
                 # resident or not (a line evicted and re-read before
-                # its fill returns); a missing one fetches.
+                # its fill returns); a missing one fetches.  Most reads
+                # find no fill of their line in flight.
                 missing = range_mask & ~outcome
-                outstanding = mshr._outstanding
-                fetch_sectors = None
-                merged_done = 0.0
-                for sector in range(first, last):
-                    sector_key = (line_key, sector)
-                    if sector_key in outstanding:
-                        merged = mshr.lookup(sector_key, issue)
-                        if merged is not None:
-                            if merged > merged_done:
-                                merged_done = merged
-                            continue
-                    if missing >> sector & 1:
-                        if fetch_sectors is None:
-                            fetch_sectors = [sector]
-                        else:
-                            fetch_sectors.append(sector)
-                if merged_done > completion:
-                    completion = merged_done
+                if line_key in mshr.inflight:
+                    merged_done, missing = mshr.merge_read(
+                        line_key, first, last, missing, issue)
+                    if merged_done > completion:
+                        completion = merged_done
                 if observe:
-                    obs.l2_access(issue, partition, fetch_sectors is not None)
-                if fetch_sectors is not None:
+                    obs.l2_access(issue, partition, missing != 0)
+                if missing:
                     done = read_miss(issue, partition, line_addr, line_key,
-                                     local_offset, fetch_sectors, mshr)
+                                     local_offset, missing, mshr)
                     if completion < done:
                         completion = done
                 if outcome & DIRTY_VICTIM:
-                    writeback(issue, unpack_line(next_evicted()))
+                    packed = next_evicted()
+                    writeback(issue, packed >> 3, packed & 7)
                 record(completion - issue)
                 if observe:
                     obs.read_latency(issue, completion - issue)
@@ -412,19 +406,19 @@ class MemoryPipeline:
     # Write-back path
     # ------------------------------------------------------------------
 
-    def writeback(self, issue: float, eviction: Eviction) -> float:
-        """Process dirty L2 lines reaching memory (iteratively: victim
-        insertions may displace further dirty data lines).  Returns the
-        completion time of the last data write (store backpressure)."""
+    def writeback(self, issue: float, key: Hashable,
+                  dirty_sectors: int) -> float:
+        """Write back the ``dirty_sectors`` dirty sectors of L2 line
+        ``key`` (iteratively: victim insertions may displace further
+        dirty data lines).  Returns the completion time of the last
+        data write (store backpressure)."""
         last_done = issue
         # The displacement queue is created lazily: the overwhelmingly
         # common write-back displaces nothing, and this path also runs
         # once per dirty line at teardown.
         queue: Optional[deque] = None
-        ev: Optional[Eviction] = eviction
-        while ev is not None:
-            key = ev.key
-            size = ev.dirty_sectors * constants.SECTOR_SIZE
+        while True:
+            size = dirty_sectors * constants.SECTOR_SIZE
             # Victim metadata lines (non-int keys) are already
             # accounted; clean lines cause no traffic.
             if isinstance(key, int) and size > 0:
@@ -452,8 +446,9 @@ class MemoryPipeline:
                         if queue is None:
                             queue = deque()
                         queue.extend(_take_displaced(mee))
-            ev = queue.popleft() if queue else None
-        return last_done
+            if not queue:
+                return last_done
+            key, dirty_sectors = queue.popleft()
 
     # ------------------------------------------------------------------
     # Demand-data transfers
@@ -514,11 +509,13 @@ class MemoryPipeline:
                 raise ValueError("the run issued fewer accesses than its "
                                  "resolved L2 outcomes hold")
             for packed in resolved.flush:
-                last = max(last, self.writeback(end, unpack_line(packed)))
+                last = max(last, self.writeback(end, packed >> 3,
+                                                packed & 7))
         else:
             for partition in self.l2:
                 for line in partition.flush():
-                    last = max(last, self.writeback(end, line))
+                    last = max(last, self.writeback(end, line.key,
+                                                    line.dirty_sectors))
         for mee in self.mees:
             last = max(last, mee.flush(end))
         for channel in self.channels:
@@ -526,11 +523,11 @@ class MemoryPipeline:
         return last
 
 
-def _take_displaced(mee: MemoryEncryptionEngine) -> List[Eviction]:
+def _take_displaced(mee: MemoryEncryptionEngine) -> List[Tuple[int, int]]:
     """Hand off the dirty data lines a victim-cache walk displaced from
-    the L2, as write-back obligations (and clear the MEE's list, which
-    those write-backs' own walks may refill)."""
-    lines = [Eviction(key=d.line_key, dirty_sectors=d.dirty_sectors,
-                      valid_sectors=d.dirty_sectors) for d in mee.displaced]
+    the L2, as ``(line key, dirty sectors)`` write-back obligations (and
+    clear the MEE's list, which those write-backs' own walks may
+    refill)."""
+    lines = [(d.line_key, d.dirty_sectors) for d in mee.displaced]
     mee.displaced.clear()
     return lines

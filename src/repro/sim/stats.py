@@ -136,13 +136,25 @@ class RunResult:
 
 def geomean(values) -> float:
     """Geometric mean via a log-sum: a raw product overflows to ``inf``
-    (or underflows to 0.0) on long value lists."""
+    (or underflows to 0.0) on long value lists.  The logs are summed
+    left to right, as in :func:`mean`."""
     values = [v for v in values if v > 0]
     if not values:
         return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    total = 0.0
+    for v in values:
+        total += math.log(v)
+    return math.exp(total / len(values))
 
 
 def mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    """Arithmetic mean, summed left to right.  ``sum()`` compensates
+    float rounding since Python 3.12, so its totals differ in the last
+    bits from earlier versions'; a plain running total keeps results
+    the same on every version."""
+    total = 0.0
+    count = 0
+    for v in values:
+        total += v
+        count += 1
+    return total / count if count else 0.0

@@ -1,5 +1,7 @@
 """Configuration defaults: Tables V, VI, VIII and IX."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import (
@@ -34,6 +36,18 @@ class TestCacheConfig:
         gpu = GPUConfig()
         total = gpu.dram_bytes_per_cycle * gpu.num_partitions
         assert total == pytest.approx(336e9 / 1506e6, rel=1e-6)
+
+    @pytest.mark.parametrize("field", ["l2_mshr_entries", "l2_mshr_merge"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_mshr_geometry_below_one(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
+            GPUConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} "):
+            replace(GPUConfig(), **{field: value})
+
+    def test_accepts_the_smallest_mshr_geometry(self):
+        gpu = GPUConfig(l2_mshr_entries=1, l2_mshr_merge=1)
+        assert (gpu.l2_mshr_entries, gpu.l2_mshr_merge) == (1, 1)
 
 
 class TestDetectorConfig:

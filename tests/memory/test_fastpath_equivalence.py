@@ -1,7 +1,7 @@
 """Property-style equivalence of the host-performance fast paths.
 
-The PR-5 optimisations (bulk sector ops, memoized address mapping,
-guarded MSHR probing) promise *bit-identical simulated results*: every
+The host-performance fast paths (bulk sector ops, memoized address
+mapping, one MSHR probe per line) promise *bit-identical simulated results*: every
 fast path must agree — statistics, masks, LRU order, evictions — with
 the straightforward per-sector / recomputed reference it replaced.
 These tests drive randomized traces through both and compare complete
@@ -20,6 +20,7 @@ from repro.common.address import AddressMapper
 from repro.common.config import CacheConfig
 from repro.memory.cache import SectoredCache
 from repro.memory.l2 import L2Bank
+from repro.memory.mshr import MASK_SECTORS
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +57,15 @@ def _cache_state(cache):
     )
 
 
+def _mshr_state(mshr):
+    return (mshr.occupancy, mshr.merges, mshr.stall_events,
+            {line: dict(record) for line, record in mshr.inflight.items()},
+            {line: dict(counts) for line, counts in mshr._merged.items()})
+
+
 def _bank_state(bank):
     return (bank.sampled_accesses, bank.sampled_misses,
-            dict(bank.mshr._outstanding), _cache_state(bank.cache))
+            _mshr_state(bank.mshr), _cache_state(bank.cache))
 
 
 # ---------------------------------------------------------------------------
@@ -121,21 +128,18 @@ def test_access_range_empty_and_out_of_range():
 
 def _reference_l2_range(bank, line_key, first, last, now):
     merged_done = 0.0
-    fetch_sectors = None
+    fetch_mask = 0
     eviction = None
     for sector in range(first, last):
         result = bank.access_data(line_key, sector, False, now)
         if result.merged_done is not None and result.merged_done > merged_done:
             merged_done = result.merged_done
         if result.needs_fetch:
-            if fetch_sectors is None:
-                fetch_sectors = [sector]
-            else:
-                fetch_sectors.append(sector)
+            fetch_mask |= 1 << sector
         if result.writebacks:
             assert eviction is None
             eviction = result.writebacks[0]
-    return merged_done, fetch_sectors, eviction
+    return merged_done, fetch_mask, eviction
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -158,19 +162,18 @@ def test_l2_access_data_range_matches_sequential_reference(seed):
         key = rng.randrange(128)
         first = rng.randrange(spb)
         last = rng.randrange(first + 1, spb + 1)
-        merged, fetch_sectors, eviction = fast.access_data_range(
+        merged, fetch_mask, eviction = fast.access_data_range(
             key, first, last, now)
         dirty_eviction = (eviction if eviction is not None
                           and eviction.dirty_sectors else None)
-        assert (merged, fetch_sectors, dirty_eviction) \
+        assert (merged, fetch_mask, dirty_eviction) \
             == _reference_l2_range(ref, key, first, last, now)
         # Register the fetched sectors as in-flight fills on both
         # banks, so later iterations exercise the MSHR-merge path.
-        if fetch_sectors:
+        if fetch_mask:
             done = now + rng.randrange(50, 200)
-            for sector in fetch_sectors:
-                fast.mshr.allocate((key, sector), done, now)
-                ref.mshr.allocate((key, sector), done, now)
+            fast.mshr.allocate_burst(key, MASK_SECTORS[fetch_mask], done, now)
+            ref.mshr.allocate_burst(key, MASK_SECTORS[fetch_mask], done, now)
         assert _bank_state(fast) == _bank_state(ref)
 
 

@@ -15,14 +15,14 @@ class TestDataPath:
         bank = make_bank()
         r = bank.access_data(1, 0, False, now=0)
         assert not r.hit and r.needs_fetch
-        bank.mshr.allocate((1, 0), 100, 0)
+        bank.mshr.allocate_burst(1, (0,), 100, 0)
         r = bank.access_data(1, 0, False, now=200)
         assert r.hit
 
     def test_hit_on_inflight_fill_merges(self):
         bank = make_bank()
         bank.access_data(1, 0, False, now=0)
-        bank.mshr.allocate((1, 0), 100, 0)
+        bank.mshr.allocate_burst(1, (0,), 100, 0)
         r = bank.access_data(1, 0, False, now=10)
         assert r.hit
         assert r.merged_done == 100  # completes when the fill returns

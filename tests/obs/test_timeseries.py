@@ -117,6 +117,17 @@ class TestDerivedRates:
         assert row["dram_wait"][0] == pytest.approx(10.0)
         assert row["dram_requests"] == [1, 0]
 
+    def test_utilization_mean_sums_left_to_right(self):
+        # 1.0 + 1e-16 rounds back to 1.0, twice; the compensated sum()
+        # of Python 3.12+ reaches 1.0000000000000002.
+        s = make(window=1.0, partitions=3)
+        s.dram(0, arrival=0.0, start=0.0, busy_until=1.0)
+        s.dram(1, arrival=0.0, start=0.0, busy_until=1e-16)
+        s.dram(2, arrival=0.0, start=0.0, busy_until=1e-16)
+        row = s.finalize()[0]
+        assert row["dram_utilization"] == [1.0, 1e-16, 1e-16]
+        assert row["dram_utilization_mean"] == 1.0 / 3
+
     def test_utilization_capped_at_one(self):
         s = make(window=100.0, partitions=1)
         s.dram(0, arrival=0.0, start=0.0, busy_until=250.0)

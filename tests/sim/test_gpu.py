@@ -1,7 +1,8 @@
 """GPU simulator integration on tiny workloads."""
 
-from repro.common.config import SimConfig
+from repro.common.config import GPUConfig, SimConfig
 from repro.common.types import Scheme
+from repro.memory.dram import DRAMChannel
 from repro.sim.gpu import GPUSimulator
 
 
@@ -96,6 +97,20 @@ class TestMultiKernel:
     def test_kernel_count_preserved(self, tiny_multikernel):
         result = run(tiny_multikernel, Scheme.SHM)
         assert result.cycles > 0
+
+
+class TestDramUtilization:
+    def test_channel_mean_sums_left_to_right(self, tiny_streaming,
+                                             monkeypatch):
+        """The run's utilisation is the channels' mean, summed left to
+        right: 1.0 + 1e-16 rounds back to 1.0, twice, where the
+        compensated sum() of Python 3.12+ reaches 1.0000000000000002."""
+        shares = {0: 1.0, 1: 1e-16, 2: 1e-16}
+        monkeypatch.setattr(DRAMChannel, "utilization",
+                            lambda channel, cycles: shares[channel.partition])
+        config = SimConfig(gpu=GPUConfig(num_partitions=3))
+        result = GPUSimulator(config).run(tiny_streaming, max_inflight=256)
+        assert result.dram_utilization == 1.0 / 3
 
 
 class TestVictimCacheScheme:

@@ -210,10 +210,10 @@ def test_read_miss_displaced_dirty_data_is_written_back(drive, monkeypatch,
         displaced.extend(mee.displaced)
         return ctr_done
 
-    def spy_writeback(pipeline, issue, eviction):
-        if eviction.key in pending:
-            pending.remove(eviction.key)
-        return writeback(pipeline, issue, eviction)
+    def spy_writeback(pipeline, issue, key, dirty_sectors):
+        if key in pending:
+            pending.remove(key)
+        return writeback(pipeline, issue, key, dirty_sectors)
 
     monkeypatch.setattr(MemoryEncryptionEngine, "on_read_miss", spy_read_miss)
     monkeypatch.setattr(MemoryPipeline, "writeback", spy_writeback)

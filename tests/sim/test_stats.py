@@ -39,6 +39,23 @@ class TestGeomean:
         assert mean([]) == 0.0
 
 
+class TestOrderedSums:
+    """Means sum left to right on every Python version: ``sum()``
+    compensates float rounding since 3.12."""
+
+    def test_mean(self):
+        # 1.0 + 1e-16 rounds back to 1.0, twice; a compensated sum
+        # reaches 1.0000000000000002.
+        assert mean([1.0, 1e-16, 1e-16]) == 1.0 / 3
+        assert mean(iter([1.0, 1e-16, 1e-16])) == 1.0 / 3
+        assert mean([]) == 0.0
+
+    def test_geomean(self):
+        a, b = math.exp(2.0), 1 + 2.0 ** -52
+        left_to_right = math.log(a) + math.log(b) + math.log(b)
+        assert geomean([a, b, b]) == math.exp(left_to_right / 3)
+
+
 class TestLatencyPercentiles:
     def test_empty(self):
         stats = LatencyStats()
