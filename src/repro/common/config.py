@@ -136,10 +136,26 @@ class GPUConfig:
     interleave_bytes: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("l2_mshr_entries", "l2_mshr_merge"):
+        for name in ("num_partitions", "l2_banks_per_partition", "l2_ways",
+                     "l2_mshr_entries", "l2_mshr_merge"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value!r}")
+        one_set = self.l2_ways * constants.BLOCK_SIZE
+        if self.l2_bank_size < one_set:
+            raise ValueError(
+                f"l2_bank_size must hold one set of l2_ways lines "
+                f"({one_set} B), got {self.l2_bank_size!r}")
+        interleave = self.interleave_bytes
+        if interleave < constants.BLOCK_SIZE or interleave & (interleave - 1):
+            raise ValueError(
+                f"interleave_bytes must be a power of two of at least "
+                f"{constants.BLOCK_SIZE}, got {interleave!r}")
+        banks = self.num_partitions * self.l2_banks_per_partition
+        if banks > constants.MAX_L2_BANKS:
+            raise ValueError(
+                f"num_partitions x l2_banks_per_partition must be at most "
+                f"{constants.MAX_L2_BANKS} L2 banks, got {banks}")
 
     @property
     def total_l2_bytes(self) -> int:

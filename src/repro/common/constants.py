@@ -77,6 +77,15 @@ L2_BANKS_PER_PARTITION = 2
 #: L2 bank capacity in bytes (128 KB per bank, 3 MB total).
 L2_BANK_SIZE = 128 * 1024
 
+#: Route codes per L2 bank (see :class:`repro.memory.l2.ResolvedL2`): a
+#: read or a write, whose clamped sector range ``[first, last)`` starts
+#: at one of the line's sectors and ends at or before its end.
+L2_ROUTES_PER_BANK = 2 * SECTORS_PER_BLOCK * (SECTORS_PER_BLOCK + 1)
+
+#: L2 banks a topology may have: every route code must fit the 16-bit
+#: entries of a resolution's route array.
+MAX_L2_BANKS = (1 << 16) // L2_ROUTES_PER_BANK
+
 #: Aggregate DRAM bandwidth in bytes per core cycle.  336 GB/s at a
 #: 1506 MHz core clock is ~223 B/cycle across 12 partitions.
 DRAM_BYTES_PER_CYCLE_TOTAL = 336e9 / 1506e6

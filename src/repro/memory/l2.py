@@ -8,13 +8,15 @@ when to enable the victim-cache mode (the set-sampling idea of
 utility-based cache partitioning).
 
 Outside that mode only data reaches the L2, so :func:`resolve_l2`
-computes a workload's L2 outcomes once for every run to replay.
+computes a workload's L2 routes and outcomes once for every run to
+replay.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, List, Optional, Tuple
 
 from repro.common import constants
@@ -228,7 +230,7 @@ class PartitionL2:
 @dataclass
 class ResolvedL2:
     """What a workload's accesses find in the L2 when only data moves
-    through it.
+    through it, and the route each takes there.
 
     Without victim parking (Section IV-D) nothing but the data access
     stream reaches an L2 data set, so which sectors each access finds
@@ -238,6 +240,15 @@ class ResolvedL2:
     :class:`~repro.sim.pipeline.MemoryPipeline` replays them in every
     run that parks no metadata in the L2.  Dirty lines are packed as
     ``line_key << 3 | dirty_sectors``.
+
+    Each access's route through the partition interleave map is a pure
+    function of the access and the topology, so it is recorded here
+    too: its line key, and a route code that packs its home L2 bank
+    (numbered across partitions, ``partition * l2_banks_per_partition
+    + line_key % l2_banks_per_partition``), its direction and its
+    clamped sector range ``[first, last)`` as ``bank *
+    L2_ROUTES_PER_BANK + (is_write * 4 + first) * 5 + last``
+    (:func:`route_table` decodes them).
     """
 
     #: One byte per access, in issue order across kernels: its
@@ -248,33 +259,71 @@ class ResolvedL2:
     evicted: array
     #: The dirty lines left at the end of the run, in flush order.
     flush: array
+    #: Each access's line key (its address over the line size).
+    lines: array
+    #: Each access's route code (16-bit entries).
+    routes: array
+
+
+@lru_cache(maxsize=8)
+def route_table(banks: int, banks_per_partition: int) -> tuple:
+    """Every route code of :attr:`ResolvedL2.routes` for a topology
+    with ``banks`` L2 banks, decoded: ``(is_write, partition, first,
+    last, range_mask, bank)`` for each code in turn, ``range_mask``
+    being the bitmask of sectors ``[first, last)``."""
+    spb = constants.SECTORS_PER_BLOCK
+    table = []
+    for code in range(banks * constants.L2_ROUTES_PER_BANK):
+        bank, within = divmod(code, constants.L2_ROUTES_PER_BANK)
+        direction, last = divmod(within, spb + 1)
+        is_write, first = divmod(direction, spb)
+        n = last - first
+        table.append((bool(is_write), bank // banks_per_partition, first,
+                      last, ((1 << n) - 1) << first if n > 0 else 0, bank))
+    return tuple(table)
 
 
 def resolve_l2(workload, gpu: GPUConfig) -> ResolvedL2:
     """Run ``workload``'s accesses through bare L2 banks of ``gpu``'s
-    geometry, in issue order, and record what each access found: the
-    same cache operations :class:`~repro.sim.pipeline.MemoryPipeline`
-    performs on a non-victim run, without MSHRs, timing or metadata."""
+    geometry, in issue order, and record each access's route and what
+    it found: the same cache operations
+    :class:`~repro.sim.pipeline.MemoryPipeline` performs on a non-victim
+    run, without MSHRs, timing or metadata."""
     l2 = [PartitionL2(gpu, p) for p in range(gpu.num_partitions)]
+    caches = [bank.cache for part in l2 for bank in part.banks]
     block = constants.BLOCK_SIZE
     sector_size = constants.SECTOR_SIZE
     spb = constants.SECTORS_PER_BLOCK
+    per_bank = constants.L2_ROUTES_PER_BANK
     interleave = gpu.interleave_bytes
     nparts = gpu.num_partitions
+    bpp = gpu.l2_banks_per_partition
     outcomes = bytearray()
     evicted = array("q")
+    lines = array("q")
+    routes = array("H")
     for kernel in workload.kernels:
         for addr, is_write, nsectors in kernel.accesses:
+            if nsectors < 0:
+                raise ValueError(f"access at {addr:#x} covers {nsectors} "
+                                 f"sectors")
             line_key = addr // block
             first = (addr % block) // sector_size
-            last = min(first + nsectors, spb)
-            cache = l2[addr // interleave % nparts].bank_for(line_key).cache
-            resident, _, eviction = cache.access_range(
+            last = first + nsectors
+            if last > spb:
+                last = spb
+            # PartitionL2.bank_for of the line's home partition, inlined.
+            bank = addr // interleave % nparts * bpp + line_key % bpp
+            resident, _, eviction = caches[bank].access_range(
                 line_key, first, last, is_write, not is_write)
             if eviction is not None and eviction.dirty_sectors:
                 evicted.append(eviction.key << 3 | eviction.dirty_sectors)
                 resident |= DIRTY_VICTIM
             outcomes.append(resident)
+            lines.append(line_key)
+            routes.append(bank * per_bank
+                          + (is_write * spb + first) * (spb + 1) + last)
     flush = array("q", [line.key << 3 | line.dirty_sectors
                         for part in l2 for line in part.flush()])
-    return ResolvedL2(bytes(outcomes), evicted, flush)
+    return ResolvedL2(outcomes=bytes(outcomes), evicted=evicted, flush=flush,
+                      lines=lines, routes=routes)

@@ -11,7 +11,7 @@ O(1) and memory is constant no matter how long the run is.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 #: Bucket boundaries grow by this factor: 2 ** (1/4), four per octave.
 HIST_BASE = 2.0 ** 0.25
@@ -85,12 +85,18 @@ class LogHistogram:
         if value > self.max_value:
             self.max_value = value
 
-    def record_many(self, values) -> None:
+    def record_many(self, values, total: float,
+                    peak: float) -> Tuple[float, float]:
         """Bulk :meth:`record`: same buckets, same running totals (the
-        float sum visits the values in order), one call for a whole
-        batch — the event core's per-kernel latency recording."""
+        float sum visits the values in order), one pass over a whole
+        batch — the event core's per-kernel latency recording.
+
+        The same pass carries a caller's own running sum and maximum
+        (:class:`~repro.sim.stats.LatencyStats` keeps both beside its
+        histogram): ``total`` and ``peak`` go in, and come back with
+        every value added, in order, and compared."""
         counts = self.counts
-        total = self.total
+        own_total = self.total
         min_value = self.min_value
         max_value = self.max_value
         log = math.log
@@ -104,15 +110,19 @@ class LogHistogram:
             else:
                 idx = int(log(value) / log_base) + 1
                 counts[idx if idx < top else top] += 1
+            own_total += value
             total += value
             if value < min_value:
                 min_value = value
             if value > max_value:
                 max_value = value
+            if value > peak:
+                peak = value
         self.count += len(values)
-        self.total = total
+        self.total = own_total
         self.min_value = min_value
         self.max_value = max_value
+        return total, peak
 
     def merge(self, other: "LogHistogram") -> None:
         for i, n in enumerate(other.counts):

@@ -21,6 +21,7 @@ a job propagates.
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
 import time
@@ -173,12 +174,18 @@ def execute_jobs(
         wave += 1
         if wave > 1:
             time.sleep(backoff * wave)
+        threads = _os_threads()
         pool = ProcessPoolExecutor(max_workers=jobs)
         futures = {
             pool.submit(_call, worker, payloads[i], timeout): (i, att + 1)
             for i, att in pending
         }
         pending = []
+        # Every future settles before the pool is shut down and its
+        # threads joined, so the next wave's pool forks from a process
+        # that runs no other thread (a fork taken while this pool's
+        # manager and queue-feeder threads run may inherit a lock one
+        # of them holds).  Only an interrupt leaves without waiting.
         try:
             for future in as_completed(futures):
                 index, attempts = futures[future]
@@ -200,6 +207,29 @@ def execute_jobs(
                         pending.append((index, attempts))
                     continue
                 settle(index, attempts, status, value, elapsed, pending)
-        finally:
+        except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown(wait=True)
+        _await_os_threads(threads)
     return outcomes  # type: ignore[return-value]
+
+
+def _os_threads() -> frozenset:
+    """The ids of this process's operating-system threads, where the
+    platform lists them (``/proc/self/task``); empty elsewhere."""
+    try:
+        return frozenset(os.listdir("/proc/self/task"))
+    except OSError:
+        return frozenset()
+
+
+def _await_os_threads(threads: frozenset, limit: float = 0.25) -> None:
+    """Wait up to ``limit`` seconds until no operating-system thread
+    outside ``threads`` remains.  Before Python 3.13, ``Thread.join``
+    returns when the thread's Python work ends, while the thread itself
+    takes a few more milliseconds to exit; a fork in that window still
+    copies a multi-threaded process."""
+    deadline = time.monotonic() + limit
+    while not _os_threads() <= threads and time.monotonic() < deadline:
+        time.sleep(0.0005)

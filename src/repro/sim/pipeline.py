@@ -5,10 +5,10 @@ MEEs and the DRAM channels, and walks every access through the
 lifecycle the paper studies — issued → L2 → metadata (MEE) → DRAM →
 complete.  :meth:`MemoryPipeline.run_batch` is the run loop: it takes
 one kernel's accesses through the issue window in a single pass,
-replaying the workload's resolved L2 outcomes unless the scheme parks
-metadata in the L2.  :meth:`MemoryPipeline.access` is the same
-lifecycle for one access on the live L2, the straight-line reference
-the batch loop is tested against.  An attached observer is called
+replaying the workload's resolved L2 routes and outcomes unless the
+scheme parks metadata in the L2.  :meth:`MemoryPipeline.access` is the
+same lifecycle for one access on the live L2, the straight-line
+reference the batch loop is tested against.  An attached observer is called
 directly at the lifecycle transitions, as the channels, L2 banks and
 MEEs call it.
 """
@@ -31,7 +31,8 @@ from repro.common.config import SimConfig
 from repro.common.types import TrafficCounters
 from repro.core.mee import MemoryEncryptionEngine
 from repro.memory.dram import DRAMChannel
-from repro.memory.l2 import DIRTY_VICTIM, PartitionL2, ResolvedL2
+from repro.memory.l2 import (DIRTY_VICTIM, PartitionL2, ResolvedL2,
+                             route_table)
 from repro.memory.mshr import MASK_SECTORS
 from repro.obs.observer import NULL_OBSERVER
 from repro.sim.stats import L2Stats
@@ -78,19 +79,14 @@ class MemoryPipeline:
         # in this pipeline's traffic counters, when the MEE emits it.
         for mee in mees:
             mee.attach_channels(channels, self.traffic)
-        #: Translation memo of the batch core: access tuple
-        #: ``(addr, is_write, nsectors)`` -> its precomputed route (see
-        #: :meth:`translate_batch`).  Address mapping, bank selection
-        #: and sector arithmetic are pure functions of the access and
-        #: the (fixed) topology, so each distinct access is translated
-        #: once per pipeline.
-        self._xlate: Dict[Tuple[int, bool, int], tuple] = {}
-        #: The resolved L2 outcomes a non-victim run replays (see
-        #: :meth:`replay`), how many it has replayed, and the displaced
-        #: dirty lines still to come.
+        #: The resolved L2 routes and outcomes a non-victim run replays
+        #: (see :meth:`replay`), how many it has replayed, the displaced
+        #: dirty lines still to come, and what each route code stands
+        #: for on this pipeline.
         self._resolved: Optional[ResolvedL2] = None
         self._replayed = 0
         self._evicted: Iterator[int] = iter(())
+        self._routes: List[tuple] = []
 
     # ------------------------------------------------------------------
     # Access path
@@ -103,8 +99,7 @@ class MemoryPipeline:
 
         The per-access reference of :meth:`run_batch`, and its path in
         victim mode: the address is mapped afresh and every access walks
-        the live L2 bank, with no translation memo and no resolved
-        outcome.
+        the live L2 bank, with no resolved route or outcome.
         """
         line_addr = addr - addr % constants.BLOCK_SIZE
         line_key = line_addr // constants.BLOCK_SIZE
@@ -194,63 +189,39 @@ class MemoryPipeline:
     # Batch core (the event-driven execution path)
     # ------------------------------------------------------------------
 
-    def translate_batch(self, accesses) -> list:
-        """Translate one kernel batch in a single pass.
-
-        Each access tuple resolves to ``(is_write, line_addr, line_key,
-        partition, local_offset, first, last, range_mask, mshr)`` — the
-        physical-to-local mapping, the clamped sector range and its
-        bitmask, and the home L2 bank's MSHR file, so the replay loop
-        does no partition/bank indexing.  Distinct accesses are
-        memoised in :attr:`_xlate`; repeated addresses (the common case
-        in the suite's strided kernels) cost one dict probe.
-        """
-        memo = self._xlate
-        out = []
-        append = out.append
-        miss = memo.get
-        mapper = self.mapper
-        ilv_shift = mapper._ilv_shift
-        ilv_mask = mapper._ilv_mask
-        ilv = mapper.interleave_bytes
-        nparts = mapper.num_partitions
-        l2 = self.l2
-        block = constants.BLOCK_SIZE
-        sector_size = constants.SECTOR_SIZE
-        spb = constants.SECTORS_PER_BLOCK
-        for acc in accesses:
-            entry = miss(acc)
-            if entry is None:
-                addr, is_write, nsectors = acc
-                line_addr = addr - addr % block
-                line_key = line_addr // block
-                # AddressMapper.to_local, inlined (skips its memo and
-                # the LocalAddress wrapper — the translation memo above
-                # already caches per distinct access).
-                chunk = line_addr >> ilv_shift
-                partition = chunk % nparts
-                local_offset = ((chunk // nparts) * ilv
-                                + (line_addr & ilv_mask))
-                first = (addr % block) // sector_size
-                last = first + nsectors
-                if last > spb:
-                    last = spb
-                n = last - first
-                entry = (is_write, line_addr, line_key, partition,
-                         local_offset, first, last,
-                         ((1 << n) - 1) << first if n > 0 else 0,
-                         l2[partition].bank_for(line_key).mshr)
-                memo[acc] = entry
-            append(entry)
-        return out
-
     def replay(self, resolved: ResolvedL2) -> None:
-        """Take this run's L2 outcomes from ``resolved`` (a non-victim
-        run: see :class:`~repro.memory.l2.ResolvedL2`) instead of
-        walking the L2 banks' data caches."""
+        """Take this run's L2 routes and outcomes from ``resolved`` (a
+        non-victim run: see :class:`~repro.memory.l2.ResolvedL2`)
+        instead of translating each access and walking the L2 banks'
+        data caches.
+
+        Builds the run's route table: route code ->
+        ``(is_write, partition, first, last, range_mask, mshr)``, the
+        clamped sector range with its bitmask and the home bank's MSHR
+        file, so the replay loop does no partition or bank indexing.
+        """
         self._resolved = resolved
         self._replayed = 0
         self._evicted = iter(resolved.evicted)
+        mshrs = [bank.mshr for part in self.l2 for bank in part.banks]
+        table = route_table(len(mshrs), self.config.gpu.l2_banks_per_partition)
+        self._routes = [
+            (is_write, partition, first, last, range_mask, mshrs[bank])
+            for is_write, partition, first, last, range_mask, bank in table]
+
+    def translate_batch(self, accesses) -> tuple:
+        """The next ``len(accesses)`` accesses' resolved route codes,
+        line keys and L2 outcomes, as slices of what :meth:`replay`
+        attached; the batch's addresses are not read again."""
+        at = self._replayed
+        end = at + len(accesses)
+        resolved = self._resolved
+        outcomes = resolved.outcomes[at:end]
+        if len(outcomes) != len(accesses):
+            raise ValueError("the resolved L2 outcomes hold fewer accesses "
+                             "than the workload issues")
+        self._replayed = end
+        return resolved.routes[at:end], resolved.lines[at:end], outcomes
 
     def run_batch(self, window: "CompletionWindow", accesses,
                   latency: "LatencyStats") -> None:
@@ -262,11 +233,14 @@ class MemoryPipeline:
         with the window state and the latency accumulators hoisted into
         locals; every float operation happens in the same order as that
         per-access drive, so results are bit-identical.  When the
-        scheme parks no metadata in the L2, the L2's part of each
-        access is read from the outcome :meth:`replay` attached: what
-        was resident and which dirty line left, so only MSHR merges,
-        read misses (:meth:`_read_miss`, the helper :meth:`access`
-        uses) and write-backs run here.  In victim mode the batch takes
+        scheme parks no metadata in the L2, each access's route and
+        the L2's part of it are read from what :meth:`replay` attached
+        (:meth:`translate_batch` hands over the batch's slices): its
+        home bank, direction and sector range, what was resident and
+        which dirty line left.  So only MSHR merges, read misses
+        (:meth:`_read_miss`, the helper :meth:`access` uses; only a
+        miss maps its line to a partition-local offset) and
+        write-backs run here.  In victim mode the batch takes
         the live L2 loop, :meth:`_run_live`.  An attached observer sees
         a stall span whenever the full window delays an issue, then,
         per read, its L2 lookup, its demand transfer and its latency.
@@ -276,13 +250,7 @@ class MemoryPipeline:
         if self._victim_mode:
             self._run_live(window, accesses, latency)
             return
-        at = self._replayed
-        outcomes = self._resolved.outcomes[at:at + len(accesses)]
-        if len(outcomes) != len(accesses):
-            raise ValueError("the resolved L2 outcomes hold fewer accesses "
-                             "than the workload issues")
-        self._replayed = at + len(accesses)
-        translated = self.translate_batch(accesses)
+        codes, lines, outcomes = self.translate_batch(accesses)
         # Window state (the event queue), hoisted.
         heap = window.inflight
         cap = window.max_inflight
@@ -293,6 +261,13 @@ class MemoryPipeline:
         heappush = heapq.heappush
         heappop = heapq.heappop
         # Pipeline state, hoisted.
+        routes = self._routes
+        block = constants.BLOCK_SIZE
+        mapper = self.mapper
+        ilv_shift = mapper._ilv_shift
+        ilv_mask = mapper._ilv_mask
+        ilv = mapper.interleave_bytes
+        nparts = mapper.num_partitions
         hit_latency = L2_HIT_LATENCY
         writeback = self.writeback
         read_miss = self._read_miss
@@ -301,12 +276,11 @@ class MemoryPipeline:
         obs = self.obs
         latencies: List[float] = []
         record = latencies.append
-        self.l2_stats.accesses += len(translated)
+        self.l2_stats.accesses += len(outcomes)
         issue = window.last_issue
 
-        for entry, outcome in zip(translated, outcomes):
-            (is_write, line_addr, line_key, partition, local_offset,
-             first, last, range_mask, mshr) = entry
+        for code, line_key, outcome in zip(codes, lines, outcomes):
+            is_write, partition, first, last, range_mask, mshr = routes[code]
             # -- issue: jump the clock to the next ready event --------
             prev_issue = issue
             issue = seq * gap
@@ -350,8 +324,14 @@ class MemoryPipeline:
                 if observe:
                     obs.l2_access(issue, partition, missing != 0)
                 if missing:
+                    # AddressMapper.to_local, inlined: only a read miss
+                    # needs the line's partition-local offset.
+                    line_addr = line_key * block
+                    chunk = line_addr >> ilv_shift
                     done = read_miss(issue, partition, line_addr, line_key,
-                                     local_offset, missing, mshr)
+                                     ((chunk // nparts) * ilv
+                                      + (line_addr & ilv_mask)),
+                                     missing, mshr)
                     if completion < done:
                         completion = done
                 if outcome & DIRTY_VICTIM:

@@ -45,20 +45,14 @@ class LatencyStats:
 
     def record_batch(self, latencies) -> None:
         """Record a whole kernel batch of latencies in one pass (the
-        event core).  Accumulation order matches per-value
-        :meth:`record` calls — the float totals are bit-identical."""
+        event core): the histogram's bulk record carries the totals
+        too.  Accumulation order matches per-value :meth:`record`
+        calls — the float totals are bit-identical."""
         if not latencies:
             return
-        total = self.total_cycles
-        max_cycles = self.max_cycles
-        for latency in latencies:
-            total += latency
-            if latency > max_cycles:
-                max_cycles = latency
-        self.total_cycles = total
-        self.max_cycles = max_cycles
+        self.total_cycles, self.max_cycles = self.histogram.record_many(
+            latencies, self.total_cycles, self.max_cycles)
         self.count += len(latencies)
-        self.histogram.record_many(latencies)
 
     @property
     def average(self) -> float:

@@ -50,6 +50,60 @@ class TestCacheConfig:
         assert (gpu.l2_mshr_entries, gpu.l2_mshr_merge) == (1, 1)
 
 
+def _rejected(match: str, **fields) -> None:
+    """``fields`` are refused, both at construction and through
+    ``dataclasses.replace``, with a ValueError matching ``match``."""
+    with pytest.raises(ValueError, match=match):
+        GPUConfig(**fields)
+    with pytest.raises(ValueError, match=match):
+        replace(GPUConfig(), **fields)
+
+
+class TestTopology:
+    """The partition, bank and interleave geometry every access's L2
+    route is computed from."""
+
+    @pytest.mark.parametrize("field", ["num_partitions",
+                                       "l2_banks_per_partition", "l2_ways"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_counts_below_one(self, field, value):
+        _rejected(f"^{field} must be at least 1, got {value}$",
+                  **{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        {"l2_bank_size": 0},
+        {"l2_bank_size": 16 * 128 - 1},
+        {"l2_bank_size": 1024, "l2_ways": 16},
+        {"l2_bank_size": -128, "l2_ways": 1},
+    ])
+    def test_rejects_a_bank_smaller_than_one_set(self, fields):
+        _rejected("^l2_bank_size must hold one set of l2_ways lines", **fields)
+
+    @pytest.mark.parametrize("interleave", [0, -256, 64, 96, 192, 384, 1000])
+    def test_rejects_an_interleave_not_a_power_of_two_line_multiple(
+            self, interleave):
+        _rejected("^interleave_bytes must be a power of two of at least 128",
+                  interleave_bytes=interleave)
+
+    @pytest.mark.parametrize("fields", [
+        {"num_partitions": 820},
+        {"num_partitions": 410, "l2_banks_per_partition": 4},
+        {"num_partitions": 1639, "l2_banks_per_partition": 1},
+    ])
+    def test_rejects_more_banks_than_route_codes_tell_apart(self, fields):
+        _rejected("^num_partitions x l2_banks_per_partition must be at most "
+                  "1638 L2 banks", **fields)
+
+    def test_accepts_the_edges(self):
+        assert GPUConfig(num_partitions=1, l2_banks_per_partition=1,
+                         l2_ways=1, l2_bank_size=128,
+                         interleave_bytes=128).total_l2_bytes == 128
+        assert GPUConfig(l2_bank_size=16 * 128).l2_bank_size == 2048
+        assert GPUConfig(interleave_bytes=4096).interleave_bytes == 4096
+        gpu = GPUConfig(num_partitions=819, l2_banks_per_partition=2)
+        assert gpu.num_partitions * gpu.l2_banks_per_partition == 1638
+
+
 class TestDetectorConfig:
     def test_tracker_is_71_bits(self):
         # Section V-A: 20 tag + 1 write + 32 counters + 5 + 13 = 71.

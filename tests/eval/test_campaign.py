@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -370,6 +371,43 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match="jobs"):
             run_campaign(["smoke"], scale=SCALE, jobs=jobs,
                          specs={"smoke": SMOKE_SPEC})
+
+
+def _os_threads():
+    """The process's operating-system thread count, where the platform
+    lists it (``/proc/self/task``); None elsewhere."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+class TestPoolWaves:
+    def test_each_wave_forks_from_a_single_threaded_parent(self):
+        """Wave 1's pool is joined before wave 2's pool forks: a fork
+        taken while the old pool's manager and queue-feeder threads
+        still run may inherit a lock one of them holds.  The threads
+        must be gone from the operating system too, not only from
+        ``threading`` (Python 3.12 warns about a multi-threaded fork
+        by the operating system's count)."""
+        seen = []
+        armed = [True]
+
+        def before_fork():
+            if armed:
+                seen.append((threading.active_count(), _os_threads()))
+
+        os_threads = _os_threads()
+        # A fork hook cannot be removed; once disarmed it records nothing.
+        os.register_at_fork(before=before_fork)
+        try:
+            report = run_campaign(["smoke"], scale=SCALE, jobs=2,
+                                  specs={"smoke": SMOKE_SPEC})
+        finally:
+            armed.clear()
+        assert report.totals["failed"] == 0
+        assert len(seen) == 4  # two waves of two workers
+        assert seen == [(1, os_threads)] * 4
 
 
 class TestStoreResume:

@@ -87,3 +87,27 @@ class TestLatencyPercentiles:
         stats.record(123.0)
         assert stats.p50 == 123.0
         assert stats.p99 == 123.0
+
+    def test_batches_match_per_value_records_bit_for_bit(self):
+        # Sums whose rounding depends on the order of the additions:
+        # past 1e16 a float is a multiple of 2, so adding 1.0, 1.0 and
+        # 3.3 one at a time gives 1e16 + 4, their sum added at once
+        # 1e16 + 6.
+        batches = [[0.5, 1e16], [1.0, 1.0, 3.3], [],
+                   [1e-3, 2.0 ** 60, 7.25], [0.1, 0.2, 0.3]]
+        one, batched = LatencyStats(), LatencyStats()
+        for batch in batches:
+            for latency in batch:
+                one.record(latency)
+            batched.record_batch(batch)
+            assert ((batched.total_cycles, batched.count, batched.max_cycles)
+                    == (one.total_cycles, one.count, one.max_cycles))
+            assert batched.histogram.state() == one.histogram.state()
+
+    def test_batch_keeps_its_totals_apart_from_the_histogram(self):
+        stats = LatencyStats(total_cycles=5.0, count=1, max_cycles=5.0)
+        stats.record_batch([2.0, 3.0])
+        assert (stats.total_cycles, stats.count, stats.max_cycles) \
+            == (10.0, 3, 5.0)
+        assert (stats.histogram.total, stats.histogram.count,
+                stats.histogram.max_value) == (5.0, 2, 3.0)
