@@ -70,6 +70,27 @@ class DetectorConfig:
     #: ``SHM_upper_bound``: no capacity limits, oracle-initialised.
     unlimited: bool = False
 
+    def __post_init__(self) -> None:
+        block = constants.BLOCK_SIZE
+        for name in ("readonly_region_size", "stream_chunk_size"):
+            value = getattr(self, name)
+            if value < block or value % block:
+                raise ValueError(
+                    f"{name} must be a positive multiple of the {block} B "
+                    f"block, got {value!r}")
+        for name in ("readonly_entries", "stream_entries"):
+            value = getattr(self, name)
+            if value < 1 or value & (value - 1):
+                raise ValueError(
+                    f"{name} must be a power of two, got {value!r}")
+        for name in ("monitor_accesses", "timeout_cycles"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        if self.num_trackers < 0:
+            raise ValueError(
+                f"num_trackers must be at least 0, got {self.num_trackers!r}")
+
     @property
     def blocks_per_chunk(self) -> int:
         return self.stream_chunk_size // constants.BLOCK_SIZE

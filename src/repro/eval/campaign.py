@@ -33,8 +33,12 @@ runner defines from what its calibration run reads
 caches between runners with equal keys, and so does an in-process
 campaign, whose cells all run on one such set of runners.  A pool
 campaign runs each group's first cell in a first wave and ships that
-cell's calibration, pickled, with the group's other cells in a second
-wave.
+cell's set-up with the group's other cells in a second wave: its
+built workload, as a v1 trace snapshot
+(:func:`~repro.workloads.trace_io.workload_to_dict`), and its
+calibration, pickled together and zlib-compressed.  A follower
+registers the workload and seeds the calibration, so it neither builds
+the trace nor calibrates.
 
 Cells are **deduplicated by content address** across experiments: the
 (atax, SHM, default-config) run that Fig. 12, Fig. 13 and Fig. 16 all
@@ -61,6 +65,7 @@ import os
 import pickle
 import time
 import traceback
+import zlib
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
@@ -74,6 +79,7 @@ from repro.obs.observer import NULL_OBSERVER
 from repro.sim.parallel import execute_jobs
 from repro.sim.runner import Runner, calibration_key
 from repro.sim.stats import RunResult, mean
+from repro.workloads.trace_io import workload_from_dict, workload_to_dict
 from repro.eval.results_io import (
     CELL_FORMAT_VERSION,
     ResultStore,
@@ -146,9 +152,10 @@ class JobSpec:
     #: ... with these fields replaced (e.g. ``bandwidth_utilization``).
     workload_overrides: Dict[str, Any] = field(default_factory=dict)
     #: When set, ``workload`` is not a suite benchmark but a composed
-    #: suite spec (:mod:`repro.workloads.compose`) built fresh in each
-    #: worker — construction is a pure function of (spec, scale), so
-    #: the serial path and the pool produce byte-identical traces.
+    #: suite spec (:mod:`repro.workloads.compose`), built by whichever
+    #: runner first needs it — construction is a pure function of
+    #: (spec, scale), so the serial path and the pool produce
+    #: byte-identical traces.
     workload_spec: Optional[Dict[str, Any]] = None
     #: Attach an observer in the worker and ship its metrics back to
     #: the parent registry.  Execution detail, not cell identity —
@@ -158,11 +165,13 @@ class JobSpec:
     #: cell's run and ship its :meth:`~DecisionLedger.summary` back in
     #: the payload.  Execution detail — excluded from :func:`cell_key`.
     collect_decisions: bool = False
-    #: The pickled :class:`~repro.sim.runner.Calibration` of the
-    #: cell's calibration group, set by :func:`run_campaign` on a pool
-    #: campaign's second wave so the worker skips calibrating.
-    #: Execution detail — excluded from :func:`cell_key`.
-    calibration: Optional[bytes] = None
+    #: The set-up of the cell's calibration group — its workload's v1
+    #: trace snapshot and its :class:`~repro.sim.runner.Calibration`,
+    #: pickled and zlib-compressed — set by :func:`run_campaign` on a
+    #: pool campaign's second wave so the worker neither builds the
+    #: workload nor calibrates.  Execution detail — excluded from
+    #: :func:`cell_key`.
+    group_setup: Optional[bytes] = None
 
 
 @dataclass
@@ -319,13 +328,17 @@ def _cell_worker(job: JobSpec,
     each calibration group once, as :func:`run_cells_serial` does.
 
     A pool worker runs each cell on a fresh runner.  A job that carries
-    its group's ``calibration`` seeds the runner with it instead of
-    calibrating.  A job without one calibrates before its run and
-    returns the calibration, pickled, as the payload's
-    ``"calibration"`` bytes (the one entry that is not JSON; the parent
-    pops it and hands it to the rest of the group, see
-    :func:`run_campaign`).  Capturing it before the run means a
-    follower starts from exactly what a fresh calibration gives.
+    its group's ``group_setup`` registers the workload it holds and
+    seeds the runner with its calibration, so it neither builds the
+    trace nor calibrates.  A job without one builds and calibrates
+    before its run and returns both as the payload's ``"group_setup"``
+    bytes (the one entry that is not JSON; the parent pops it and hands
+    it to the rest of the group, see :func:`run_campaign`).  Capturing
+    them before the run means a follower starts from exactly what a
+    fresh build and calibration give.  The workload travels as its v1
+    trace snapshot, not as the object: pickling the object memoizes
+    every access tuple, and the parent keeps each group's bytes until
+    the campaign ends, so they are compressed too.
 
     With ``job.collect_metrics`` the cell runs under an observer and
     the payload carries its metrics as a ``"metrics"`` state dict —
@@ -336,26 +349,32 @@ def _cell_worker(job: JobSpec,
         runner = Runner(config=job.config, scale=job.scale)
     else:
         runner = evaluator.runner_for(job)
+    calibration = None
+    if job.group_setup is not None:
+        snapshot, calibration = pickle.loads(zlib.decompress(job.group_setup))
+        runner.add_workload(workload_from_dict(snapshot))
+        del snapshot
     _ensure_workload(runner, job)
     observer = None
     if job.collect_metrics:
         from repro.obs.observer import Observer
         observer = runner.observer = Observer(timeseries=False)
-    calibration = None
+    group_setup = None
     try:
-        if job.calibration is not None:
-            runner._calibrations[job.workload] = pickle.loads(
-                job.calibration)
+        if calibration is not None:
+            runner._calibrations[job.workload] = calibration
         elif evaluator is None:
-            calibration = pickle.dumps(runner.calibration(job.workload),
-                                       pickle.HIGHEST_PROTOCOL)
+            group_setup = zlib.compress(pickle.dumps(
+                (workload_to_dict(runner.workload(job.workload)),
+                 runner.calibration(job.workload)),
+                pickle.HIGHEST_PROTOCOL), 1)
         payload = _serialize_payload(_evaluate_cell(runner, job))
     finally:
         runner.observer = NULL_OBSERVER
     if observer is not None:
         payload["metrics"] = observer.metrics.state()
-    if calibration is not None:
-        payload["calibration"] = calibration
+    if group_setup is not None:
+        payload["group_setup"] = group_setup
     return payload
 
 
@@ -667,23 +686,23 @@ def run_campaign(
                        for job in worker_jobs]
     # In-process, every cell runs on one evaluator, which builds each
     # workload and calibrates each group once; a pool's workers run
-    # each cell on a fresh runner and ship calibrations through the
-    # parent.
+    # each cell on a fresh runner and ship each group's set-up through
+    # the parent.
     worker = _cell_worker
     if n_workers == 1:
         worker = partial(_cell_worker, evaluator=_SerialEvaluator(
             Runner(config=config, scale=scale)))
     groups = [_calibration_group(job) for job in worker_jobs]
-    # Calibration group -> its pickled Calibration.  The parent only
-    # passes the bytes on, so the wave-2 workers it forks inherit no
-    # unpickled calibrations.
-    calibrations: Dict[tuple, bytes] = {}
+    # Calibration group -> its leader's compressed set-up.  The parent
+    # only passes the bytes on, so the wave-2 workers it forks inherit
+    # no decoded workloads or calibrations.
+    setups: Dict[tuple, bytes] = {}
     #: to_run index -> the reason for each of its retried attempts.
     retried: Dict[int, List[str]] = {}
 
     def run_wave(indices: List[int]) -> None:
         """Execute ``worker_jobs[i]`` for each ``i`` in ``indices``,
-        each seeded with its group's calibration when an earlier wave
+        each seeded with its group's set-up when an earlier wave
         produced one."""
         def on_outcome(outcome) -> None:
             index = indices[outcome.index]
@@ -696,9 +715,9 @@ def run_campaign(
                     error=f"[{outcome.reason}] {outcome.error}", **fields))
                 return
             payload = outcome.value
-            calibration = payload.pop("calibration", None)
-            if calibration is not None:
-                calibrations.setdefault(groups[index], calibration)
+            setup = payload.pop("group_setup", None)
+            if setup is not None:
+                setups.setdefault(groups[index], setup)
             metrics_state = payload.pop("metrics", None)
             if metrics_state is not None:
                 registry.merge_state(metrics_state)
@@ -723,13 +742,13 @@ def run_campaign(
 
         execute_jobs(worker,
                      [dc_replace(worker_jobs[i],
-                                 calibration=calibrations.get(groups[i]))
+                                 group_setup=setups.get(groups[i]))
                       for i in indices],
                      jobs=n_workers, timeout=timeout, retries=retries,
                      on_outcome=on_outcome, on_retry=on_retry)
 
-    # A leader that fails leaves its group without a calibration: its
-    # followers then calibrate themselves.
+    # A leader that fails leaves its group without a set-up: its
+    # followers then build and calibrate themselves.
     for wave in _calibration_waves(worker_jobs, n_workers):
         run_wave(wave)
 

@@ -22,8 +22,9 @@ BMT level-k nodes     16 children             4 children
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Tuple
 
 from repro.common import constants
 
@@ -145,10 +146,40 @@ class MetadataLayout:
     """
 
     protected_bytes: int = constants.PROTECTED_MEMORY_BYTES
+    # The carve-out bases and the BMT level offsets, computed once per
+    # layout: every metadata placement reads them, so the address
+    # methods below are plain arithmetic.
+    counter_base: int = field(init=False, repr=False, compare=False)
+    mac_base: int = field(init=False, repr=False, compare=False)
+    chunk_mac_base: int = field(init=False, repr=False, compare=False)
+    bmt_base: int = field(init=False, repr=False, compare=False)
+    #: First line of each BMT level (index = level) past the BMT base,
+    #: up to the first level whose span no longer shrinks ...
+    _bmt_level_lines: Tuple[int, ...] = field(init=False, repr=False,
+                                              compare=False)
+    #: ... and the lines each level above those occupies.
+    _bmt_tail_lines: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def counter_base(self) -> int:
-        return self.protected_bytes
+    def __post_init__(self) -> None:
+        define = partial(object.__setattr__, self)
+        define("counter_base", self.protected_bytes)
+        define("mac_base", self.counter_base + self.counter_space)
+        define("chunk_mac_base", self.mac_base + self.mac_space)
+        define("bmt_base", self.chunk_mac_base + self.chunk_mac_space)
+        # Levels are packed consecutively; spans shrink by the arity
+        # per level, so a level starts past the cumulative span of the
+        # levels below it (level 1, the leaves' parents, starts at 0).
+        leaves = self.protected_bytes // (CTR_LINE_COVERAGE_BLOCKS * constants.BLOCK_SIZE)
+        span = (leaves + constants.BMT_ARITY - 1) // constants.BMT_ARITY
+        starts = [0, 0]
+        while True:
+            starts.append(starts[-1] + span + constants.SECTORS_PER_BLOCK - 1)
+            above = (span + constants.BMT_ARITY - 1) // constants.BMT_ARITY
+            if above == span:
+                break
+            span = above
+        define("_bmt_level_lines", tuple(starts))
+        define("_bmt_tail_lines", span + constants.SECTORS_PER_BLOCK - 1)
 
     @property
     def counter_space(self) -> int:
@@ -156,49 +187,26 @@ class MetadataLayout:
         return lines * constants.BLOCK_SIZE
 
     @property
-    def mac_base(self) -> int:
-        return self.counter_base + self.counter_space
-
-    @property
     def mac_space(self) -> int:
         return (self.protected_bytes // constants.BLOCK_SIZE) * constants.MAC_SIZE
-
-    @property
-    def chunk_mac_base(self) -> int:
-        return self.mac_base + self.mac_space
 
     @property
     def chunk_mac_space(self) -> int:
         return (self.protected_bytes // constants.STREAM_CHUNK_SIZE) * constants.MAC_SIZE
 
-    @property
-    def bmt_base(self) -> int:
-        return self.chunk_mac_base + self.chunk_mac_space
-
-    # The address methods are memoized: MetadataLayout is frozen (so
-    # hashable) and the same metadata lines recur constantly; caching
-    # also spares the per-call property chains, which recompute the
-    # carve-out bases from scratch.  Value-equal layouts share entries.
-
-    @lru_cache(maxsize=None)
     def counter_address(self, line_key: int) -> int:
         return self.counter_base + line_key * constants.BLOCK_SIZE
 
-    @lru_cache(maxsize=None)
     def mac_address(self, line_key: int) -> int:
         if line_key >= CHUNK_MAC_KEY_BASE:
             return self.chunk_mac_base + (line_key - CHUNK_MAC_KEY_BASE) * constants.BLOCK_SIZE
         return self.mac_base + line_key * constants.BLOCK_SIZE
 
-    @lru_cache(maxsize=None)
     def bmt_address(self, line_key: int) -> int:
         level, line = divmod(line_key, BMT_LEVEL_KEY_BASE)
-        # Levels are packed consecutively; spans shrink by the arity
-        # per level, so offset by the cumulative span of lower levels.
-        leaves = self.protected_bytes // (CTR_LINE_COVERAGE_BLOCKS * constants.BLOCK_SIZE)
-        offset_lines = 0
-        span = (leaves + constants.BMT_ARITY - 1) // constants.BMT_ARITY
-        for _ in range(1, level):
-            offset_lines += (span + constants.SECTORS_PER_BLOCK - 1)
-            span = (span + constants.BMT_ARITY - 1) // constants.BMT_ARITY
-        return self.bmt_base + (offset_lines + line) * constants.BLOCK_SIZE
+        starts = self._bmt_level_lines
+        if level < len(starts):
+            start = starts[level]
+        else:
+            start = starts[-1] + (level - len(starts) + 1) * self._bmt_tail_lines
+        return self.bmt_base + (start + line) * constants.BLOCK_SIZE

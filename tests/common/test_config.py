@@ -50,13 +50,13 @@ class TestCacheConfig:
         assert (gpu.l2_mshr_entries, gpu.l2_mshr_merge) == (1, 1)
 
 
-def _rejected(match: str, **fields) -> None:
+def _rejected(config_type, match: str, **fields) -> None:
     """``fields`` are refused, both at construction and through
     ``dataclasses.replace``, with a ValueError matching ``match``."""
     with pytest.raises(ValueError, match=match):
-        GPUConfig(**fields)
+        config_type(**fields)
     with pytest.raises(ValueError, match=match):
-        replace(GPUConfig(), **fields)
+        replace(config_type(), **fields)
 
 
 class TestTopology:
@@ -67,7 +67,7 @@ class TestTopology:
                                        "l2_banks_per_partition", "l2_ways"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_counts_below_one(self, field, value):
-        _rejected(f"^{field} must be at least 1, got {value}$",
+        _rejected(GPUConfig, f"^{field} must be at least 1, got {value}$",
                   **{field: value})
 
     @pytest.mark.parametrize("fields", [
@@ -77,12 +77,14 @@ class TestTopology:
         {"l2_bank_size": -128, "l2_ways": 1},
     ])
     def test_rejects_a_bank_smaller_than_one_set(self, fields):
-        _rejected("^l2_bank_size must hold one set of l2_ways lines", **fields)
+        _rejected(GPUConfig,
+                  "^l2_bank_size must hold one set of l2_ways lines", **fields)
 
     @pytest.mark.parametrize("interleave", [0, -256, 64, 96, 192, 384, 1000])
     def test_rejects_an_interleave_not_a_power_of_two_line_multiple(
             self, interleave):
-        _rejected("^interleave_bytes must be a power of two of at least 128",
+        _rejected(GPUConfig,
+                  "^interleave_bytes must be a power of two of at least 128",
                   interleave_bytes=interleave)
 
     @pytest.mark.parametrize("fields", [
@@ -91,7 +93,8 @@ class TestTopology:
         {"num_partitions": 1639, "l2_banks_per_partition": 1},
     ])
     def test_rejects_more_banks_than_route_codes_tell_apart(self, fields):
-        _rejected("^num_partitions x l2_banks_per_partition must be at most "
+        _rejected(GPUConfig,
+                  "^num_partitions x l2_banks_per_partition must be at most "
                   "1638 L2 banks", **fields)
 
     def test_accepts_the_edges(self):
@@ -130,6 +133,63 @@ class TestDetectorConfig:
         assert cfg.num_trackers == 8
         assert cfg.monitor_accesses == 32
         assert cfg.timeout_cycles == 6000
+
+
+class TestDetectorSizes:
+    """Sizes the detectors cannot run are refused up front with an
+    error that names the field, at construction and through
+    ``dataclasses.replace``."""
+
+    @pytest.mark.parametrize("field", ["readonly_region_size",
+                                       "stream_chunk_size"])
+    @pytest.mark.parametrize("value", [0, -128, 64, 100, 4096 + 64])
+    def test_rejects_a_size_not_a_positive_block_multiple(self, field, value):
+        _rejected(DetectorConfig, f"^{field} must be a positive multiple of "
+                  f"the 128 B block, got {value}$", **{field: value})
+
+    @pytest.mark.parametrize("field", ["readonly_entries", "stream_entries"])
+    @pytest.mark.parametrize("value", [0, -1024, 3, 1000])
+    def test_rejects_predictor_entries_not_a_power_of_two(self, field,
+                                                          value):
+        _rejected(DetectorConfig, f"^{field} must be a power of two, got "
+                  f"{value}$", **{field: value})
+
+    @pytest.mark.parametrize("field", ["monitor_accesses", "timeout_cycles"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_rejects_a_window_below_one(self, field, value):
+        _rejected(DetectorConfig, f"^{field} must be at least 1, got "
+                  f"{value}$", **{field: value})
+
+    def test_rejects_a_negative_tracker_count(self):
+        _rejected(DetectorConfig, "^num_trackers must be at least 0, got -1$",
+                  num_trackers=-1)
+
+    def test_accepts_the_edges(self):
+        cfg = DetectorConfig(readonly_region_size=128, stream_chunk_size=128,
+                             readonly_entries=1, stream_entries=1,
+                             num_trackers=0, monitor_accesses=1,
+                             timeout_cycles=1)
+        assert cfg.blocks_per_chunk == 1
+        assert DetectorConfig(stream_chunk_size=384).blocks_per_chunk == 3
+
+    def test_every_registered_experiment_and_scheme_still_builds(self):
+        """The swept sizes (tracker counts 2/8/32, 2/4/8 KB chunks with
+        a chunk-sized MAT window) and ``unlimited=True`` all pass."""
+        from repro.core.policies.registry import available_schemes
+        from repro.eval.experiments import EXPERIMENTS
+
+        detectors = set()
+        for spec in EXPERIMENTS.values():
+            for job in spec.jobs(None, SimConfig(), 0.1):
+                detectors.add(job.config.scheme.detectors)
+                if "detectors" in job.overrides:
+                    detectors.add(job.overrides["detectors"])
+        detectors.update(scheme_config(name).detectors
+                         for name in available_schemes())
+        assert {d.num_trackers for d in detectors} >= {2, 8, 32}
+        assert {(d.stream_chunk_size, d.monitor_accesses)
+                for d in detectors} >= {(2048, 16), (4096, 32), (8192, 64)}
+        assert any(d.unlimited for d in detectors)
 
 
 class TestSchemeConfig:

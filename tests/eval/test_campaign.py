@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import os
+import pickle
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -297,6 +299,91 @@ class TestCalibrationSharing:
         pooled = _cell_bytes(report)
         assert len(pooled) == 5
         assert pooled == {cell: serial[cell] for cell in pooled}
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a follower with its group's set-up built or "
+                         "calibrated")
+
+
+def _count_into(path, label, function):
+    """``function``, appending ``label`` to ``path`` on each call: pool
+    workers forked after the patch count into the same file."""
+    def counting(*args, **kwargs):
+        with open(path, "a") as out:
+            out.write(f"{label}\n")
+        return function(*args, **kwargs)
+    return counting
+
+
+class TestGroupSetup:
+    """A pool leader ships its group's built workload and calibration;
+    a follower that carries them builds and calibrates nothing."""
+
+    @pytest.mark.parametrize("cell", [
+        {"workload": "atax"},
+        {"workload": "atax@50", "workload_base": "atax",
+         "workload_overrides": {"bandwidth_utilization": 0.5}},
+        {"workload": "mt4_churn50",
+         "workload_spec": phase_churn_spec(0.5, seed=2241)},
+    ], ids=["suite", "variant", "composed"])
+    def test_a_follower_builds_nothing(self, monkeypatch, cell):
+        from repro.eval import campaign
+        from repro.workloads.trace_io import workload_from_dict
+
+        leader, *followers = [
+            JobSpec(experiment="test-exp", scheme=scheme, series=scheme,
+                    scale=SCALE, **cell)
+            for scheme in ("pssm", "shm", "naive")]
+        serial = {rec.job.scheme: {
+                      "result": serialize_run_result(rec.result),
+                      "baseline": serialize_run_result(rec.baseline)}
+                  for rec in run_cells_serial(Runner(scale=SCALE),
+                                              [leader, *followers])}
+        snapshots = []
+        to_dict = campaign.workload_to_dict
+
+        def capturing(workload):
+            snapshots.append(workload)
+            return to_dict(workload)
+
+        monkeypatch.setattr(campaign, "workload_to_dict", capturing)
+        payload = campaign._cell_worker(leader)
+        setup = payload.pop("group_setup")
+        assert payload == serial["pssm"]
+        (built,) = snapshots
+        assert built.name == cell["workload"]
+        snapshot, _calibration = pickle.loads(zlib.decompress(setup))
+        assert workload_from_dict(snapshot) == built
+
+        monkeypatch.setattr("repro.sim.runner.build_workload", _refuse)
+        monkeypatch.setattr("repro.workloads.compose.build_workload",
+                            _refuse)
+        monkeypatch.setattr(Runner, "_calibrate", _refuse)
+        for job in followers:
+            payload = campaign._cell_worker(
+                dataclasses.replace(job, group_setup=setup))
+            assert payload == serial[job.scheme]
+
+    def test_a_pool_builds_and_calibrates_once_per_group(self, tmp_path,
+                                                         monkeypatch):
+        """Two churn seeds, two schemes each, on two workers: two
+        leaders build and calibrate, their followers do neither."""
+        from repro.sim import runner as runner_module
+        from repro.workloads import compose
+
+        log = tmp_path / "calls"
+        monkeypatch.setattr(runner_module, "build_workload", _count_into(
+            log, "build", runner_module.build_workload))
+        monkeypatch.setattr(compose, "build_workload", _count_into(
+            log, "build", compose.build_workload))
+        monkeypatch.setattr(Runner, "_calibrate", _count_into(
+            log, "calibrate", Runner._calibrate))
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=2,
+                              specs={"test-exp": _spec(_churn_jobs)})
+        assert report.totals["failed"] == 0
+        assert sorted(log.read_text().split()) == [
+            "build", "build", "calibrate", "calibrate"]
 
 
 class TestCalibrationWaves:
