@@ -27,6 +27,23 @@ class CacheConfig:
     mshr_merge: int = 16
     write_allocate: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("ways", "mshr_entries", "mshr_merge"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        # The MEE and the L2 index sectors by the fixed line geometry.
+        for name, fixed in (("block_size", constants.BLOCK_SIZE),
+                            ("sector_size", constants.SECTOR_SIZE)):
+            value = getattr(self, name)
+            if value != fixed:
+                raise ValueError(f"{name} must be {fixed}, got {value!r}")
+        one_set = self.ways * self.block_size
+        if self.size_bytes < one_set:
+            raise ValueError(
+                f"size_bytes must hold one set of ways lines ({one_set} B), "
+                f"got {self.size_bytes!r}")
+
     @property
     def num_blocks(self) -> int:
         return self.size_bytes // self.block_size

@@ -34,11 +34,10 @@ caches between runners with equal keys, and so does an in-process
 campaign, whose cells all run on one such set of runners.  A pool
 campaign runs each group's first cell in a first wave and ships that
 cell's set-up with the group's other cells in a second wave: its
-built workload, as a v1 trace snapshot
-(:func:`~repro.workloads.trace_io.workload_to_dict`), and its
-calibration, pickled together and zlib-compressed.  A follower
-registers the workload and seeds the calibration, so it neither builds
-the trace nor calibrates.
+built :class:`~repro.workloads.base.Workload` and its calibration,
+pickled together and zlib-compressed.  A follower registers the
+workload and seeds the calibration, so it neither builds the trace
+nor calibrates.
 
 Cells are **deduplicated by content address** across experiments: the
 (atax, SHM, default-config) run that Fig. 12, Fig. 13 and Fig. 16 all
@@ -79,7 +78,6 @@ from repro.obs.observer import NULL_OBSERVER
 from repro.sim.parallel import execute_jobs
 from repro.sim.runner import Runner, calibration_key
 from repro.sim.stats import RunResult, mean
-from repro.workloads.trace_io import workload_from_dict, workload_to_dict
 from repro.eval.results_io import (
     CELL_FORMAT_VERSION,
     ResultStore,
@@ -165,9 +163,10 @@ class JobSpec:
     #: cell's run and ship its :meth:`~DecisionLedger.summary` back in
     #: the payload.  Execution detail — excluded from :func:`cell_key`.
     collect_decisions: bool = False
-    #: The set-up of the cell's calibration group — its workload's v1
-    #: trace snapshot and its :class:`~repro.sim.runner.Calibration`,
-    #: pickled and zlib-compressed — set by :func:`run_campaign` on a
+    #: The set-up of the cell's calibration group — its built
+    #: :class:`~repro.workloads.base.Workload` and its
+    #: :class:`~repro.sim.runner.Calibration`, pickled and
+    #: zlib-compressed — set by :func:`run_campaign` on a
     #: pool campaign's second wave so the worker neither builds the
     #: workload nor calibrates.  Execution detail — excluded from
     #: :func:`cell_key`.
@@ -335,10 +334,10 @@ def _cell_worker(job: JobSpec,
     bytes (the one entry that is not JSON; the parent pops it and hands
     it to the rest of the group, see :func:`run_campaign`).  Capturing
     them before the run means a follower starts from exactly what a
-    fresh build and calibration give.  The workload travels as its v1
-    trace snapshot, not as the object: pickling the object memoizes
-    every access tuple, and the parent keeps each group's bytes until
-    the campaign ends, so they are compressed too.
+    fresh build and calibration give.  The workload travels as the
+    object itself: its kernels' traces pickle as their arrays.  The
+    parent keeps each group's bytes until the campaign ends, so they
+    are compressed.
 
     With ``job.collect_metrics`` the cell runs under an observer and
     the payload carries its metrics as a ``"metrics"`` state dict —
@@ -351,9 +350,8 @@ def _cell_worker(job: JobSpec,
         runner = evaluator.runner_for(job)
     calibration = None
     if job.group_setup is not None:
-        snapshot, calibration = pickle.loads(zlib.decompress(job.group_setup))
-        runner.add_workload(workload_from_dict(snapshot))
-        del snapshot
+        workload, calibration = pickle.loads(zlib.decompress(job.group_setup))
+        runner.add_workload(workload)
     _ensure_workload(runner, job)
     observer = None
     if job.collect_metrics:
@@ -365,7 +363,7 @@ def _cell_worker(job: JobSpec,
             runner._calibrations[job.workload] = calibration
         elif evaluator is None:
             group_setup = zlib.compress(pickle.dumps(
-                (workload_to_dict(runner.workload(job.workload)),
+                (runner.workload(job.workload),
                  runner.calibration(job.workload)),
                 pickle.HIGHEST_PROTOCOL), 1)
         payload = _serialize_payload(_evaluate_cell(runner, job))
@@ -421,11 +419,12 @@ class _SerialEvaluator:
 
     The parent runner serves the cells at its own config and scale.
     Every other (config, scale) gets a runner of its own, made on first
-    use, which shares the workload cache of the runners at its scale
-    and the calibration cache of those whose config has the same
-    :func:`~repro.sim.runner.calibration_key` — so the MDC ablation and
-    ``critical_first`` cells reuse the FIFO calibrations, while a
-    ``banked`` cell calibrates for itself once.
+    use, which shares the workload and L2-resolution caches of the
+    runners at its scale and the calibration cache of those whose
+    config has the same :func:`~repro.sim.runner.calibration_key` — so
+    the MDC ablation and ``critical_first`` cells reuse the FIFO
+    calibrations, while a ``banked`` cell calibrates for itself once,
+    on the FIFO cells' resolved L2.
 
     Runners cache workloads and calibrations by name, so at each scale
     the first workload seen under a name owns it in the shared caches.
@@ -446,6 +445,9 @@ class _SerialEvaluator:
         self._runners: Dict[tuple, Runner] = {(runner.config, domain): runner}
         #: domain -> its workload cache.
         self._workloads: Dict[tuple, dict] = {domain: runner._workloads}
+        #: domain -> its L2-resolution cache.
+        self._resolutions: Dict[tuple, dict] = {
+            domain: runner._resolutions}
         #: (domain, calibration key) -> its calibration cache.
         self._calibrations: Dict[tuple, dict] = {
             (domain, calibration_key(runner.config)): runner._calibrations}
@@ -459,6 +461,8 @@ class _SerialEvaluator:
             runner = Runner(config=job.config, scale=job.scale)
             runner._workloads = self._workloads.setdefault(
                 domain, runner._workloads)
+            runner._resolutions = self._resolutions.setdefault(
+                domain, runner._resolutions)
             runner._calibrations = self._calibrations.setdefault(
                 (domain, calibration_key(job.config)), runner._calibrations)
             self._runners[(job.config, domain)] = runner

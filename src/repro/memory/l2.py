@@ -283,6 +283,14 @@ def route_table(banks: int, banks_per_partition: int) -> tuple:
     return tuple(table)
 
 
+def l2_geometry(gpu: GPUConfig) -> tuple:
+    """Everything :func:`resolve_l2` reads from ``gpu``: its partitions,
+    banks, bank size, ways and interleave.  GPUs with equal geometries
+    (whatever their DRAM scheduler) resolve a workload identically."""
+    return (gpu.num_partitions, gpu.l2_banks_per_partition,
+            gpu.l2_bank_size, gpu.l2_ways, gpu.interleave_bytes)
+
+
 def resolve_l2(workload, gpu: GPUConfig) -> ResolvedL2:
     """Run ``workload``'s accesses through bare L2 banks of ``gpu``'s
     geometry, in issue order, and record each access's route and what
@@ -303,7 +311,9 @@ def resolve_l2(workload, gpu: GPUConfig) -> ResolvedL2:
     lines = array("q")
     routes = array("H")
     for kernel in workload.kernels:
-        for addr, is_write, nsectors in kernel.accesses:
+        trace = kernel.accesses
+        for addr, is_write, nsectors in zip(trace.addresses, trace.writes,
+                                            trace.sectors):
             if nsectors < 0:
                 raise ValueError(f"access at {addr:#x} covers {nsectors} "
                                  f"sectors")

@@ -354,15 +354,18 @@ class MemoryPipeline:
     def _run_live(self, window: "CompletionWindow", accesses,
                   latency: "LatencyStats") -> None:
         """:meth:`run_batch` in victim mode, where metadata parked in
-        the L2 changes what it holds: each access walks the live L2
-        banks through :meth:`access`, with the replay loop's stall and
+        the L2 changes what it holds: each access of the kernel's
+        :class:`~repro.workloads.base.Trace` walks the live L2 banks
+        through :meth:`access`, with the replay loop's stall and
         read-latency observer calls."""
         access = self.access
         observe = self._observe
         obs = self.obs
         latencies: List[float] = []
         record = latencies.append
-        for addr, is_write, nsectors in accesses:
+        for addr, is_write, nsectors in zip(accesses.addresses,
+                                            accesses.writes,
+                                            accesses.sectors):
             prev_issue = window.last_issue
             ready = window.seq * window.gap
             issue = window.issue()

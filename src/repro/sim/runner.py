@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.core.policies.registry import scheme_entry
-from repro.memory.l2 import ResolvedL2, resolve_l2
+from repro.memory.l2 import ResolvedL2, l2_geometry, resolve_l2
 from repro.memory.sched import demand_data_gpu
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -94,6 +94,10 @@ class Runner:
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         self._workloads: Dict[str, Workload] = {}
         self._calibrations: Dict[str, Calibration] = {}
+        #: Resolved L2 outcomes by (workload name, :func:`l2_geometry`):
+        #: calibrations that differ only outside the L2 (a DRAM
+        #: scheduler) take one resolution.
+        self._resolutions: Dict[Tuple[str, tuple], ResolvedL2] = {}
         # Keyed by (workload, scheme-registry name).
         self._results: Dict[Tuple[str, str], RunResult] = {}
 
@@ -180,13 +184,16 @@ class Runner:
 
         The runs use only what :func:`calibration_key` holds: its GPU
         model under the unprotected scheme, and its detector geometry
-        for the profile.  The workload's L2 outcomes are resolved once,
-        first, and every round replays them.
+        for the profile.  The workload's L2 outcomes are resolved first,
+        once per L2 geometry, and every round replays them.
         """
         target = workload.bandwidth_utilization
         gpu, region_size, chunk_size = calibration_key(self.config)
         recording_config = SimConfig(gpu=gpu).with_scheme(Scheme.UNPROTECTED)
-        resolved = resolve_l2(workload, gpu)
+        key = (workload.name, l2_geometry(gpu))
+        resolved = self._resolutions.get(key)
+        if resolved is None:
+            resolved = self._resolutions[key] = resolve_l2(workload, gpu)
 
         observe = self.observer.enabled
         window = INITIAL_WINDOW

@@ -5,6 +5,7 @@ from repro.workloads.base import (
     Buffer,
     HostEvent,
     Kernel,
+    Trace,
     Workload,
     WorkloadBuilder,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "Buffer",
     "HostEvent",
     "Kernel",
+    "Trace",
     "Workload",
     "WorkloadBuilder",
     "BENCHMARK_NAMES",

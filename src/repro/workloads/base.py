@@ -2,7 +2,9 @@
 
 A :class:`Workload` is a sequence of :class:`Kernel` traces plus the
 host-side events between them (H2D copies, ``input_read_only_reset``
-calls).  Buffers are allocated at addresses aligned so that their
+calls).  Each kernel holds its accesses as a :class:`Trace`: three
+parallel arrays, 10 B per access where a list of tuples takes about
+100 B.  Buffers are allocated at addresses aligned so that their
 partition-local footprints fall on 16 KB read-only-region boundaries in
 every partition (``ALLOC_ALIGN`` = interleave × partitions × 64), which
 mirrors how real allocators align large GPU buffers to page boundaries.
@@ -12,8 +14,10 @@ from __future__ import annotations
 
 import random
 import zlib
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import List, Sequence, Set
+from typing import Iterable, Iterator, List, Sequence, Set
 
 from repro.common import constants
 from repro.common.types import MemorySpace
@@ -50,13 +54,109 @@ class HostEvent:
     size: int
 
 
+class Trace(SequenceABC):
+    """One kernel's accesses, as three parallel arrays.
+
+    ``addresses`` (``array('q')``), ``writes`` (``array('b')``, 1 for a
+    store) and ``sectors`` (``array('b')``, sectors covered) hold 10 B
+    per access.  As a sequence a trace behaves like the list of
+    ``(address, is_write, n_sectors)`` tuples it was built from:
+    iterating and indexing yield those tuples (``is_write`` a
+    ``bool``), a slice is a :class:`Trace`, ``==`` holds against an
+    equal trace or list, and it pickles and copies to an equal trace.
+    Code that reads whole traces (the L2 resolution, the live L2 loop,
+    the trace writers) reads the arrays directly.
+    """
+
+    __slots__ = ("addresses", "writes", "sectors")
+
+    def __init__(self, accesses: Iterable[Access] = ()) -> None:
+        self.addresses = array("q")
+        self.writes = array("b")
+        self.sectors = array("b")
+        self.extend(accesses)
+
+    def extend(self, accesses: Iterable[Access]) -> None:
+        """Append ``accesses`` (a trace or any iterable of tuples)."""
+        if isinstance(accesses, Trace):
+            self.addresses.extend(accesses.addresses)
+            self.writes.extend(accesses.writes)
+            self.sectors.extend(accesses.sectors)
+            return
+        add = self.addresses.append
+        write = self.writes.append
+        cover = self.sectors.append
+        try:
+            for address, is_write, n_sectors in accesses:
+                add(address)
+                write(1 if is_write else 0)
+                cover(n_sectors)
+        except OverflowError:
+            # A value outside its column's range: drop the half-added
+            # access and name the field.
+            if len(self.addresses) == len(self.sectors):
+                name, value = "address", address
+            else:
+                name, value = "n_sectors", n_sectors
+            del self.addresses[len(self.sectors):]
+            del self.writes[len(self.sectors):]
+            lo, hi = _RANGES[name]
+            raise ValueError(
+                f"trace {name} {value!r} is outside {lo}..{hi}") from None
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+    def __iter__(self) -> Iterator[Access]:
+        return zip(self.addresses, map(bool, self.writes), self.sectors)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            trace = Trace()
+            trace.addresses = self.addresses[index]
+            trace.writes = self.writes[index]
+            trace.sectors = self.sectors[index]
+            return trace
+        return (self.addresses[index], bool(self.writes[index]),
+                self.sectors[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return (self.addresses == other.addresses
+                    and self.writes == other.writes
+                    and self.sectors == other.sectors)
+        if isinstance(other, list):
+            return len(other) == len(self) and list(self) == other
+        return NotImplemented
+
+    def __getstate__(self) -> tuple:
+        return self.addresses, self.writes, self.sectors
+
+    def __setstate__(self, state: tuple) -> None:
+        self.addresses, self.writes, self.sectors = state
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
+#: The values each integer column of a :class:`Trace` holds.
+_RANGES = {"address": (-(1 << 63), (1 << 63) - 1), "n_sectors": (-128, 127)}
+
+
 @dataclass
 class Kernel:
-    """One kernel launch: its trace and the host events preceding it."""
+    """One kernel launch: its trace and the host events preceding it.
+
+    ``accesses`` may be given as any sequence of access tuples; the
+    kernel holds it as a :class:`Trace`."""
 
     name: str
-    accesses: List[Access]
+    accesses: Trace
     host_events: List[HostEvent] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.accesses, Trace):
+            self.accesses = Trace(self.accesses)
 
 
 @dataclass
@@ -97,7 +197,8 @@ class Workload:
         """Sanity-check that every access falls inside a buffer."""
         spans = sorted((b.address, b.end) for b in self.buffers)
         for kernel in self.kernels:
-            for addr, _, _ in kernel.accesses[:: max(1, len(kernel.accesses) // 64)]:
+            addresses = kernel.accesses.addresses
+            for addr in addresses[:: max(1, len(addresses) // 64)]:
                 if not any(lo <= addr < hi for lo, hi in spans):
                     raise ValueError(
                         f"{self.name}/{kernel.name}: access {addr:#x} outside buffers"
@@ -137,7 +238,7 @@ class WorkloadBuilder:
     def kernel(
         self,
         name: str,
-        accesses: List[Access],
+        accesses: Sequence[Access],
         copies: Sequence[Buffer] = (),
         readonly_resets: Sequence[Buffer] = (),
     ) -> Kernel:
@@ -149,7 +250,7 @@ class WorkloadBuilder:
         events += [
             HostEvent("readonly_reset", b.address, b.size) for b in readonly_resets
         ]
-        k = Kernel(name, accesses, events)
+        k = Kernel(name, Trace(accesses), events)
         self._kernels.append(k)
         return k
 

@@ -477,7 +477,7 @@ def describe(spec: Dict[str, Any], workload: Workload,
                          f"{'host-init' if buf.host_init else 'uninit'}")
         specs_by_name = {p["name"]: p for p in spec["phases"]}
         for kernel in workload.kernels:
-            writes = sum(1 for _, w, _ in kernel.accesses if w)
+            writes = sum(kernel.accesses.writes)
             phase = specs_by_name.get(kernel.name, {})
             steps = ", ".join(
                 f"{s['pattern']}({s['buffer']})" for s in

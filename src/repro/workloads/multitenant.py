@@ -285,7 +285,7 @@ def describe_tenants(spec: Dict[str, Any], workload: Workload) -> List[str]:
             f"patterns {'/'.join(decl.get('patterns', ['sequential']))}  "
             f"writes {float(decl.get('write_fraction', 0.1)):.0%}")
     for kernel in workload.kernels:
-        writes = sum(1 for _, w, _ in kernel.accesses if w)
+        writes = sum(kernel.accesses.writes)
         lines.append(f"  {kernel.name:20s} {len(kernel.accesses):8,} "
                      f"accesses {writes / max(1, len(kernel.accesses)):5.1%} "
                      f"writes")

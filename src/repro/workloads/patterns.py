@@ -1,7 +1,10 @@
 """Access-pattern generators.
 
-A trace is a list of ``(address, is_write, n_sectors)`` tuples — the
-SM-side memory requests of one kernel.  Streaming requests are
+A primitive returns a list of ``(address, is_write, n_sectors)``
+tuples — SM-side memory requests of one kernel.  Specs and builders
+compose those lists freely; a :class:`~repro.workloads.base.Kernel`
+converts its list once, when it is built, into the
+:class:`~repro.workloads.base.Trace` it holds.  Streaming requests are
 line-grain (a fully coalesced warp touches all four 32 B sectors of a
 128 B line); random requests are sector-grain (one 32 B sector of a
 line, the case the sectored L2 exists for).

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common.types import MemorySpace
-from repro.workloads.base import Buffer, HostEvent, Kernel, Workload
+from repro.workloads.base import Buffer, HostEvent, Kernel, Trace, Workload
 
 #: The version this build writes by default (the streaming format).
 FORMAT_VERSION = 2
@@ -94,11 +94,19 @@ def _events_from_dicts(events: List[dict]) -> List[HostEvent]:
 
 
 def _accesses_from_arrays(name: str, addresses: List[int],
-                          writes: List[int], sectors: List[int]) -> list:
+                          writes: List[int], sectors: List[int]) -> Trace:
     n = len(addresses)
     if len(writes) != n or len(sectors) != n:
         raise TraceFormatError(f"kernel {name!r}: ragged trace arrays")
-    return list(zip(addresses, (bool(w) for w in writes), sectors))
+    return Trace(zip(addresses, map(bool, writes), sectors))
+
+
+def _arrays_of(trace: Trace) -> dict:
+    """``trace``'s parallel ``addresses``/``writes``/``sectors`` arrays,
+    as both formats store them."""
+    return {"addresses": trace.addresses.tolist(),
+            "writes": trace.writes.tolist(),
+            "sectors": trace.sectors.tolist()}
 
 
 def _workload_from_parts(meta: dict, buffers: List[Buffer],
@@ -134,9 +142,7 @@ def workload_to_dict(workload: Workload) -> dict:
                 "name": k.name,
                 "host_events": _events_to_dicts(k.host_events),
                 # Compact parallel arrays keep large traces small.
-                "addresses": [a for a, _, _ in k.accesses],
-                "writes": [1 if w else 0 for _, w, _ in k.accesses],
-                "sectors": [n for _, _, n in k.accesses],
+                **_arrays_of(k.accesses),
             }
             for seq, k in enumerate(workload.kernels)
         ],
@@ -186,11 +192,8 @@ def _write_stream(workload: Workload, stream: IO[str]) -> None:
               "accesses": len(kernel.accesses),
               "host_events": _events_to_dicts(kernel.host_events)})
         for lo in range(0, len(kernel.accesses), CHUNK_ACCESSES):
-            chunk = kernel.accesses[lo:lo + CHUNK_ACCESSES]
             emit({"type": "accesses", "seq": seq,
-                  "addresses": [a for a, _, _ in chunk],
-                  "writes": [1 if w else 0 for _, w, _ in chunk],
-                  "sectors": [n for _, _, n in chunk]})
+                  **_arrays_of(kernel.accesses[lo:lo + CHUNK_ACCESSES])})
         total += len(kernel.accesses)
     emit({"type": "end", "kernels": len(workload.kernels),
           "total_accesses": total})
@@ -261,7 +264,7 @@ def iter_kernels(path: Union[str, Path]) -> Iterator[Kernel]:
         read_header(path)  # cheap re-validation of line 1
         stream.readline()  # skip the header we just validated
         current: Optional[dict] = None
-        accesses: list = []
+        accesses = Trace()
         kernels_seen = 0
         total = 0
         finished = False
@@ -273,7 +276,7 @@ def iter_kernels(path: Union[str, Path]) -> Iterator[Kernel]:
                 raise TraceFormatError(
                     f"{path}: kernel {current['name']!r} declares "
                     f"{declared} accesses, stream carries {len(accesses)}")
-            return Kernel(current["name"], list(accesses),
+            return Kernel(current["name"], accesses,
                           _events_from_dicts(current["host_events"]))
 
         for line_no, line in enumerate(_gzip_lines(stream, path), 2):
@@ -295,7 +298,7 @@ def iter_kernels(path: Union[str, Path]) -> Iterator[Kernel]:
                         f"(reordered or truncated stream)")
                 expected_seq += 1
                 current = record
-                accesses = []
+                accesses = Trace()
                 kernels_seen += 1
             elif kind == "accesses":
                 if current is None or record.get("seq") != current["seq"]:

@@ -1,6 +1,7 @@
 """Configuration defaults: Tables V, VI, VIII and IX."""
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -57,6 +58,68 @@ def _rejected(config_type, match: str, **fields) -> None:
         config_type(**fields)
     with pytest.raises(ValueError, match=match):
         replace(config_type(), **fields)
+
+
+#: A 2 KB cache of the default geometry, for ``_rejected``.
+_CACHE = partial(CacheConfig, size_bytes=2048)
+
+
+class TestCacheGeometry:
+    """Cache geometries the sectored caches cannot run are refused
+    with an error that names the field, at construction and through
+    ``dataclasses.replace``."""
+
+    @pytest.mark.parametrize("field", ["ways", "mshr_entries",
+                                       "mshr_merge"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_counts_below_one(self, field, value):
+        _rejected(_CACHE, f"^{field} must be at least 1, got {value}$",
+                  **{field: value})
+
+    @pytest.mark.parametrize("value", [0, 64, 256])
+    def test_rejects_a_block_size_other_than_the_line(self, value):
+        _rejected(_CACHE, f"^block_size must be 128, got {value}$",
+                  block_size=value)
+
+    @pytest.mark.parametrize("value", [0, 16, 64])
+    def test_rejects_a_sector_size_other_than_the_sector(self, value):
+        _rejected(_CACHE, f"^sector_size must be 32, got {value}$",
+                  sector_size=value)
+
+    @pytest.mark.parametrize("fields", [
+        {"size_bytes": 0},
+        {"size_bytes": 100},
+        {"size_bytes": 4 * 128 - 1},
+        {"size_bytes": 1024, "ways": 16},
+        {"size_bytes": -128, "ways": 1},
+    ])
+    def test_rejects_a_size_smaller_than_one_set(self, fields):
+        _rejected(_CACHE, "^size_bytes must hold one set of ways lines",
+                  **fields)
+
+    def test_accepts_the_edges(self):
+        cfg = CacheConfig(size_bytes=128, ways=1, mshr_entries=1,
+                          mshr_merge=1)
+        assert (cfg.num_sets, cfg.sectors_per_block) == (1, 4)
+        assert CacheConfig(size_bytes=512, ways=4).num_sets == 1
+
+    def test_every_cache_the_experiments_and_tests_build_still_builds(self):
+        """The 1, 2 and 8 KB four-way MDCs of the registered
+        experiments, the 128 KB 16-way L2 bank, and the tests' 512 B
+        direct-mapped and 1-4 KB two-way caches."""
+        from repro.eval.experiments import EXPERIMENTS
+        from repro.memory.l2 import PartitionL2
+
+        mdcs = {(cache.size_bytes, cache.ways)
+                for spec in EXPERIMENTS.values()
+                for job in spec.jobs(None, SimConfig(), 0.1)
+                for cache in (job.config.mdc.counter, job.config.mdc.mac,
+                              job.config.mdc.bmt)}
+        assert mdcs >= {(1024, 4), (2048, 4), (8192, 4)}
+        bank = PartitionL2(GPUConfig(), 0).banks[0].cache.config
+        assert (bank.size_bytes, bank.ways) == (128 * 1024, 16)
+        for size, ways in ((512, 1), (1024, 2), (2048, 2), (4096, 2)):
+            assert CacheConfig(size_bytes=size, ways=ways).num_sets >= 1
 
 
 class TestTopology:

@@ -271,6 +271,39 @@ class TestCalibrationSharing:
         assert len(records) == 7 and all(rec.ok for rec in records)
         assert sorted(calls) == ["atax", "atax", "mvt"]
 
+    def test_a_scheduler_cell_shares_the_resolved_l2(self, monkeypatch):
+        """A FIFO and a ``banked`` cell of one workload calibrate apart
+        on the serial path but resolve the L2 once, and their payloads
+        equal those of two unshared runners."""
+        from repro.sim import runner as runner_module
+
+        resolved = []
+        resolve = runner_module.resolve_l2
+
+        def counting(workload, gpu):
+            resolved.append(workload.name)
+            return resolve(workload, gpu)
+
+        monkeypatch.setattr(runner_module, "resolve_l2", counting)
+        config = SimConfig()
+        banked = dataclasses.replace(config, gpu=dataclasses.replace(
+            config.gpu, dram_scheduler="banked"))
+        jobs = [JobSpec(experiment="test-exp", workload="atax", scheme="shm",
+                        series=series, scale=SCALE, config=cell_config)
+                for series, cell_config in (("fifo", config),
+                                            ("banked", banked))]
+        calls = _count_calibrations(monkeypatch)
+        shared = _record_bytes(run_cells_serial(
+            Runner(config=config, scale=SCALE), jobs))
+        assert (calls, resolved) == (["atax", "atax"], ["atax"])
+        unshared = {}
+        for job in jobs:
+            unshared.update(_record_bytes(run_cells_serial(
+                Runner(config=job.config, scale=SCALE), [job])))
+        assert resolved == ["atax"] * 3
+        assert shared == unshared
+        assert shared[("atax", "fifo")] != shared[("atax", "banked")]
+
     def test_failed_leader_leaves_followers_to_calibrate(self,
                                                          monkeypatch):
         """The first (PSSM) cell of atax's group fails: its first
@@ -329,7 +362,6 @@ class TestGroupSetup:
     ], ids=["suite", "variant", "composed"])
     def test_a_follower_builds_nothing(self, monkeypatch, cell):
         from repro.eval import campaign
-        from repro.workloads.trace_io import workload_from_dict
 
         leader, *followers = [
             JobSpec(experiment="test-exp", scheme=scheme, series=scheme,
@@ -340,21 +372,22 @@ class TestGroupSetup:
                       "baseline": serialize_run_result(rec.baseline)}
                   for rec in run_cells_serial(Runner(scale=SCALE),
                                               [leader, *followers])}
-        snapshots = []
-        to_dict = campaign.workload_to_dict
+        runners = []
 
-        def capturing(workload):
-            snapshots.append(workload)
-            return to_dict(workload)
+        class Recording(Runner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
 
-        monkeypatch.setattr(campaign, "workload_to_dict", capturing)
+        monkeypatch.setattr(campaign, "Runner", Recording)
         payload = campaign._cell_worker(leader)
         setup = payload.pop("group_setup")
         assert payload == serial["pssm"]
-        (built,) = snapshots
+        (runner,) = runners
+        built = runner.workload(cell["workload"])
         assert built.name == cell["workload"]
-        snapshot, _calibration = pickle.loads(zlib.decompress(setup))
-        assert workload_from_dict(snapshot) == built
+        workload, _calibration = pickle.loads(zlib.decompress(setup))
+        assert workload == built
 
         monkeypatch.setattr("repro.sim.runner.build_workload", _refuse)
         monkeypatch.setattr("repro.workloads.compose.build_workload",

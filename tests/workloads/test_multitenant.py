@@ -45,7 +45,7 @@ PINNED_DIGESTS = {
 def trace_digest(workload) -> str:
     h = hashlib.sha256()
     for kernel in workload.kernels:
-        h.update(json.dumps(kernel.accesses).encode())
+        h.update(json.dumps(list(kernel.accesses)).encode())
     return h.hexdigest()
 
 
@@ -179,7 +179,7 @@ class TestDeterminism:
             "w = build_workload(spec)\n"
             "h = hashlib.sha256()\n"
             "for k in w.kernels:\n"
-            "    h.update(json.dumps(k.accesses).encode())\n"
+            "    h.update(json.dumps(list(k.accesses)).encode())\n"
             "print(h.hexdigest())\n"
         )
         digests = set()
